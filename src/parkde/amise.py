@@ -23,26 +23,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import AnalyticModel, ProductPosterior, SubsetKde
+from .estimators import AnalyticModel, ProductPosterior, SubsetKde, normalize
 from .kernels import Kernel, from_name
 from .quadrature import Grid, integrate_values
 
 DensityProvider = Callable[..., np.ndarray]
 
 
-def _providers(source, M: int | None = None) -> list[DensityProvider]:
+def _providers(source) -> list[DensityProvider]:
     """Normalize a model / KDE list / callable list to per-subset densities."""
     if isinstance(source, AnalyticModel):
         return [source.subset] * source.M
     comps = list(source)
     if not comps:
         raise ValueError("need at least one density component")
-    out = []
-    for c in comps:
-        out.append(c if callable(c) else c)
-    if M is not None and len(out) != M:
-        raise ValueError(f"expected {M} components, got {len(out)}")
-    return out
+    return comps
 
 
 def _density_table(densities: Sequence[DensityProvider], x, deriv2: bool = True):
@@ -116,16 +111,11 @@ def amise_bar(
     densities = _providers(source)
     x = grid.points
     dx = grid.spacing
-    pstar = np.prod(
-        np.stack([np.asarray(f(x, 0), dtype=float) for f in densities]), axis=0
-    )
-    lam = integrate_values(pstar, dx)
-    if lam <= 0:
-        raise ValueError("product density has nonpositive mass on the grid")
-    c = 1.0 / lam
+    post = normalize(densities, grid)
+    c = post.c_hat
     B = c * bias_leading(densities, h, x, kernel)
     V = variance_leading(densities, N, h, x, kernel)
-    p = c * pstar
+    p = post.values
     int_B = integrate_values(B, dx)
     t1 = int_B**2 * integrate_values(p * p, dx)
     t2 = integrate_values(B * B, dx)

@@ -57,12 +57,12 @@ def ab_constants(
     M = model.M
     p1 = np.asarray(model.subset(x, 0), dtype=float)
     p1dd = np.asarray(model.subset(x, 2), dtype=float)
-    lam = integrate_values(p1**M, dx)
-    c = 1.0 / lam
+    post = normalize([model.subset] * M, grid)
+    c = post.c_hat
     q = p1dd * p1 ** (M - 1)
     i1 = integrate_values(q, dx)
     i2 = integrate_values(q * q, dx)
-    i3 = integrate_values((c * p1**M) ** 2, dx)
+    i3 = integrate_values(post.values**2, dx)
     i4 = integrate_values(p1dd * p1 ** (2 * M - 1), dx)
     A = M * c**2 * kernel.k2**2 / 4.0 * (i1**2 * i3 + i2 - 2.0 * c * i1 * i4)
     B = c**2 * integrate_values(p1 ** (2 * M - 1), dx) * kernel.roughness
@@ -132,6 +132,17 @@ def h_opt_gamma(n: int, M: int, alpha: float, theta: float) -> float:
         - math.log(Q)
     )
     return math.exp(0.2 * log_h5)
+
+
+def normal_reference_h(subsets: Sequence[SubsetSample]) -> np.ndarray:
+    """Normal-case closed form per subset, the pooled sample standard
+    deviation standing in for sigma.
+
+    The optimizer's start and `parkde fit --bandwidth auto`.
+    """
+    pooled = np.concatenate([s.values for s in subsets])
+    sigma_hat = float(np.std(pooled, ddof=1)) if pooled.size > 1 else 1.0
+    return np.array([h_opt_normal(s.size, len(subsets), sigma_hat) for s in subsets])
 
 
 @dataclass(frozen=True)
@@ -240,15 +251,13 @@ def optimize_bandwidth(
     if M < 1:
         raise ValueError("need at least one subset")
 
-    pooled = np.concatenate([s.values for s in subsets])
-    sigma_hat = float(np.std(pooled, ddof=1)) if pooled.size > 1 else 1.0
-    h0 = np.array([h_opt_normal(s.size, M, sigma_hat) for s in subsets])
+    h0 = normal_reference_h(subsets)
     tol = opts.tol if opts.tol is not None else 1e-4 * float(np.linalg.norm(h0))
     h_floor = (
         opts.h_floor if opts.h_floor is not None else 1e-3 * float(h0.max()) / M
     )
     if grid is None:
-        grid = default_grid(pooled, h0)
+        grid = default_grid(np.concatenate([s.values for s in subsets]), h0)
 
     h = h0.copy()
     trace: list[tuple[int, np.ndarray, float]] = []

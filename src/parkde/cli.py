@@ -13,7 +13,7 @@ import numpy as np
 from .bandwidth import (
     GammaDomain,
     OptimizerOptions,
-    h_opt_normal,
+    normal_reference_h,
     optimize_bandwidth,
 )
 from .estimators import DegenerateProduct, SubsetSample, fit_subset_kde, normalize
@@ -73,16 +73,17 @@ def _load_subsets(directory: str) -> list[SubsetSample]:
     return subsets
 
 
-def _grid_from_args(args, subsets=None, bandwidths=None) -> Grid | None:
-    if args.grid_lo is not None and args.grid_hi is not None:
-        try:
+def _grid_from_args(args, subsets, bandwidths) -> Grid:
+    """The --grid-lo/--grid-hi window, else the default window of the subsets."""
+    if (args.grid_lo is None) != (args.grid_hi is None):
+        raise CliError("--grid-lo and --grid-hi must be given together", EXIT_CONFIG)
+    try:
+        if args.grid_lo is not None:
             return Grid(args.grid_lo, args.grid_hi, args.grid_points)
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_CONFIG)
-    if subsets is not None:
         pooled = np.concatenate([s.values for s in subsets])
         return default_grid(pooled, bandwidths, n_points=args.grid_points)
-    return None
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_CONFIG)
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -118,9 +119,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--theta", type=float)
     p.add_argument("-M", "--M", type=int, dest="M")
     p.add_argument("--n", type=int, nargs="+", help="per-subset sample sizes")
-    p.add_argument("--h-policy", dest="h_policy",
-                   choices=["fixed", "h_opt", "h_opt_baseline", "sweep"])
-    p.add_argument("--h-fixed", dest="h_fixed", type=float)
     p.add_argument("--sweep-lo", dest="sweep_lo", type=float)
     p.add_argument("--sweep-hi", dest="sweep_hi", type=float)
     p.add_argument("--sweep-count", dest="sweep_count", type=int)
@@ -160,7 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--out", help="per-iteration trace CSV (iter,h_1..h_M,amise_hat)")
     p_opt.add_argument("--grid-lo", type=float)
     p_opt.add_argument("--grid-hi", type=float)
-    p_opt.add_argument("--grid-points", type=int, default=2001)
+    # default_grid's own size, so the CLI and library defaults agree
+    p_opt.add_argument("--grid-points", type=int, default=4001)
 
     p_sweep = sub.add_parser("mise-sweep", help="Monte Carlo MISE curve over a bandwidth range")
     _add_config_flags(p_sweep)
@@ -179,9 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_bandwidths(spec: str, subsets) -> np.ndarray:
     M = len(subsets)
     if spec == "auto":
-        pooled = np.concatenate([s.values for s in subsets])
-        sd = float(np.std(pooled, ddof=1)) if pooled.size > 1 else 1.0
-        return np.array([h_opt_normal(s.size, M, sd) for s in subsets])
+        return normal_reference_h(subsets)
     try:
         parts = [float(t) for t in spec.split(",")]
     except ValueError:
@@ -202,12 +199,11 @@ def _cmd_fit(args) -> int:
     grid = _grid_from_args(args, subsets, h)
     kdes = [fit_subset_kde(s, hv, kernel) for s, hv in zip(subsets, h)]
     post = normalize(kdes, grid)
-    vals = post.posterior(grid.points)
     try:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["x", "value"])
-            for x, v in zip(grid.points, vals):
+            for x, v in zip(grid.points, post.values):
                 w.writerow([repr(float(x)), repr(float(v))])
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO)
@@ -222,7 +218,7 @@ def _cmd_optimize(args) -> int:
     if not kernel.smooth:
         raise CliError("optimize requires the gaussian kernel", EXIT_CONFIG)
     opts = OptimizerOptions(max_outer_iters=args.max_iters, tol=args.tol)
-    grid = _grid_from_args(args)
+    grid = _grid_from_args(args, subsets, normal_reference_h(subsets))
     res = optimize_bandwidth(subsets, kernel, opts, grid=grid)
     if args.out:
         try:

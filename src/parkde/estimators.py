@@ -93,10 +93,6 @@ def fit_subset_kde(sample: SubsetSample, h: float, kernel: Kernel) -> SubsetKde:
     return SubsetKde(sample, float(h), kernel)
 
 
-def eval_kde(kde: SubsetKde, x, deriv: int = 0):
-    return kde(x, deriv)
-
-
 def eval_product(components: Sequence[SubsetKde], x):
     """Unnormalized product of the subset KDEs."""
     if len(components) < 1:
@@ -111,11 +107,17 @@ def eval_product(components: Sequence[SubsetKde], x):
 
 @dataclass(frozen=True)
 class ProductPosterior:
-    """Normalized product of subset KDEs with its cached mass on a grid."""
+    """Normalized product of subset KDEs with its mass and values on a grid.
+
+    values holds the normalized density at grid.points, so callers that want
+    the grid do not evaluate the components a second time; posterior(x)
+    evaluates them afresh at any x.
+    """
 
     components: tuple[SubsetKde, ...]
     grid: Grid
     lambda_hat: float
+    values: np.ndarray
 
     @property
     def c_hat(self) -> float:
@@ -133,14 +135,18 @@ class ProductPosterior:
 
 
 def normalize(components: Sequence[SubsetKde], grid: Grid) -> ProductPosterior:
-    """Integrate the product on the grid and wrap it as a density."""
+    """Integrate the product on the grid and wrap it as a density.
+
+    The one place a product is normalized. Components are subset KDEs or
+    any other density callables of x, such as `AnalyticModel.subset`.
+    """
     vals = eval_product(components, grid.points)
     lam = integrate_values(vals, grid.spacing)
     if lam <= DEGENERATE_LAMBDA:
         raise DegenerateProduct(
             f"product mass {lam!r} underflowed; subset supports nearly disjoint"
         )
-    return ProductPosterior(tuple(components), grid, lam)
+    return ProductPosterior(tuple(components), grid, lam, vals / lam)
 
 
 @dataclass(frozen=True)
@@ -274,14 +280,3 @@ def _gamma_pdf(x, alpha: float, theta: float, deriv: int):
     else:
         raise ValueError(f"deriv must be in 0..2, got {deriv}")
     return float(out) if scalar else out
-
-
-def analytic_density(model: AnalyticModel, which: str, x, deriv: int = 0):
-    """Exact subset / product / posterior density (and derivatives)."""
-    if which == "subset":
-        return model.subset(x, deriv)
-    if which == "product":
-        return model.product(x, deriv)
-    if which == "posterior":
-        return model.posterior(x, deriv)
-    raise ValueError(f"which must be subset|product|posterior, got {which!r}")

@@ -27,10 +27,10 @@ from .estimators import (
     AnalyticModel,
     DegenerateProduct,
     SubsetSample,
-    eval_product,
     fit_subset_kde,
+    normalize,
 )
-from .kernels import Kernel, from_name
+from .kernels import from_name
 from .quadrature import Grid, integrate_values
 
 
@@ -51,8 +51,6 @@ class ExperimentConfig:
     theta: float = 3.0
     M: int = 4
     n_per_subset: list[int] = field(default_factory=lambda: [250, 500, 1000, 2000, 4000])
-    h_policy: str = "h_opt"  # fixed | h_opt | h_opt_baseline | sweep
-    h_fixed: float | None = None
     sweep_lo: float = 0.5  # multiples of the closed-form h_opt
     sweep_hi: float = 2.0
     sweep_count: int = 25
@@ -68,12 +66,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.h_policy not in ("fixed", "h_opt", "h_opt_baseline", "sweep"):
-            raise ValueError(f"unknown h_policy {self.h_policy!r}")
-        if self.h_policy == "sweep" and not (self.sweep_lo < self.sweep_hi):
+        if not (self.sweep_lo < self.sweep_hi):
             raise ValueError("sweep needs lo < hi")
-        if self.h_policy == "fixed" and not (self.h_fixed and self.h_fixed > 0):
-            raise ValueError("fixed policy needs h_fixed > 0")
+        if (self.grid_lo is None) != (self.grid_hi is None):
+            raise ValueError("grid_lo and grid_hi must be given together")
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -91,7 +87,7 @@ class ExperimentConfig:
         return AnalyticModel.gamma(self.alpha, self.theta, self.M)
 
     def grid(self) -> Grid:
-        if self.grid_lo is not None and self.grid_hi is not None:
+        if self.grid_lo is not None:
             return Grid(self.grid_lo, self.grid_hi, self.grid_points)
         return default_model_grid(self.model(), self.grid_points)
 
@@ -142,37 +138,59 @@ def ise(truth: Callable, estimate: Callable, grid: Grid) -> float:
     return integrate_values((e - t) ** 2, grid.spacing)
 
 
-def _fit_posterior_values(
-    samples: Sequence[SubsetSample], h, kernel: Kernel, grid: Grid
-) -> np.ndarray:
-    """Normalized product-KDE values on the grid; raises DegenerateProduct."""
-    h = np.broadcast_to(np.asarray(h, dtype=float), (len(samples),))
-    kdes = [fit_subset_kde(s, hv, kernel) for s, hv in zip(samples, h)]
-    vals = eval_product(kdes, grid.points)
-    lam = integrate_values(vals, grid.spacing)
-    if lam <= 1e-300:
-        raise DegenerateProduct(f"product mass {lam!r} underflowed")
-    return vals / lam
+def _replication(job) -> list[float | None]:
+    """ISE of the normalized product for each bandwidth row on one replication.
 
-
-def _replication_ise(args) -> tuple[int, float | None]:
-    (family, params, M, n, h, seed, outer, rep, grid_lo, grid_hi, grid_pts) = args
-    model = AnalyticModel(family, M, **params)
-    grid = Grid(grid_lo, grid_hi, grid_pts)
+    The samples are drawn once and reused for every row (common random
+    numbers); a degenerate product gives None in its row.
+    """
+    model, n, h_rows, seed, outer, rep, grid = job
     kernel = from_name("gaussian")
-    samples = sample_model(model, M, n, seed, outer, rep)
-    try:
-        vals = _fit_posterior_values(samples, h, kernel, grid)
-    except DegenerateProduct:
-        return rep, None
+    samples = sample_model(model, model.M, n, seed, outer, rep)
     truth = np.asarray(model.posterior(grid.points), dtype=float)
-    return rep, integrate_values((vals - truth) ** 2, grid.spacing)
+    out: list[float | None] = []
+    for h in h_rows:
+        kdes = [fit_subset_kde(s, hv, kernel) for s, hv in zip(samples, h)]
+        try:
+            vals = normalize(kdes, grid).values
+        except DegenerateProduct:
+            out.append(None)
+            continue
+        out.append(integrate_values((vals - truth) ** 2, grid.spacing))
+    return out
 
 
-def _model_params(model: AnalyticModel) -> dict:
-    if model.family == "normal":
-        return {"mu": model.mu, "sigma": model.sigma}
-    return {"alpha": model.alpha, "theta": model.theta}
+def _ise_columns(
+    model: AnalyticModel,
+    n: int,
+    h_rows: Sequence[tuple[float, ...]],
+    replications: int,
+    seed,
+    grid: Grid,
+    outer: int,
+    workers: int,
+    chunksize: int,
+) -> list[tuple[float | None, ...]]:
+    """Per h row, the ISEs of every replication in replication order."""
+    if replications < 2:
+        raise ValueError("need at least 2 replications for a standard error")
+    jobs = [(model, n, h_rows, seed, outer, rep, grid) for rep in range(replications)]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_replication, jobs, chunksize=chunksize))
+    else:
+        results = [_replication(job) for job in jobs]
+    return list(zip(*results))
+
+
+def _mean_stderr(column: Sequence[float | None]) -> tuple[float, float]:
+    """Mean and standard error of the non-degenerate ISEs in one column."""
+    vals = np.array([v for v in column if v is not None])
+    if vals.size < 2:
+        raise DegenerateMajority(
+            f"{vals.size} of {len(column)} replications usable; a standard error needs 2"
+        )
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
 
 
 @dataclass(frozen=True)
@@ -192,45 +210,24 @@ def estimate_mise(
     outer: int = 0,
     workers: int = 1,
 ) -> MiseEstimate:
-    """Mean and standard error of the ISE over fresh-sample replications."""
-    if replications < 2:
-        raise ValueError("need at least 2 replications for a standard error")
-    h = np.broadcast_to(np.asarray(h, dtype=float), (model.M,))
-    args = [
-        (
-            model.family,
-            _model_params(model),
-            model.M,
-            n,
-            tuple(h),
-            seed,
-            outer,
-            rep,
-            grid.lo,
-            grid.hi,
-            grid.n_points,
-        )
-        for rep in range(replications)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replication_ise, args, chunksize=8))
-    else:
-        results = [_replication_ise(a) for a in args]
-    results.sort(key=lambda t: t[0])
-    ises = np.array([v for _, v in results if v is not None])
-    degenerate = sum(1 for _, v in results if v is None)
+    """Mean and standard error of the ISE over fresh-sample replications.
+
+    The same computation as one bandwidth of `sweep_bandwidth`: with equal
+    seed and outer, the estimate equals that sweep's row at h.
+    """
+    h = tuple(np.broadcast_to(np.asarray(h, dtype=float), (model.M,)))
+    (column,) = _ise_columns(
+        model, n, [h], replications, seed, grid, outer, workers, chunksize=8
+    )
+    degenerate = column.count(None)
     if degenerate:
         warnings.warn(f"{degenerate}/{replications} degenerate replications excluded")
     if degenerate > replications // 2:
         raise DegenerateMajority(
             f"{degenerate} of {replications} replications degenerate"
         )
-    return MiseEstimate(
-        mise=float(ises.mean()),
-        stderr=float(ises.std(ddof=1) / math.sqrt(ises.size)),
-        degenerate_count=degenerate,
-    )
+    mise, stderr = _mean_stderr(column)
+    return MiseEstimate(mise=mise, stderr=stderr, degenerate_count=degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -263,25 +260,6 @@ def _refine_argmin(hs: np.ndarray, ms: np.ndarray) -> float:
     return float(vertex)
 
 
-def _sweep_rep(args) -> tuple[int, list[float | None]]:
-    (family, params, M, n, h_values, seed, outer, rep, grid_lo, grid_hi, grid_pts) = args
-    model = AnalyticModel(family, M, **params)
-    grid = Grid(grid_lo, grid_hi, grid_pts)
-    kernel = from_name("gaussian")
-    # common random numbers: one sample set per replication, reused for all h
-    samples = sample_model(model, M, n, seed, outer, rep)
-    truth = np.asarray(model.posterior(grid.points), dtype=float)
-    out: list[float | None] = []
-    for h in h_values:
-        try:
-            vals = _fit_posterior_values(samples, h, kernel, grid)
-        except DegenerateProduct:
-            out.append(None)
-            continue
-        out.append(integrate_values((vals - truth) ** 2, grid.spacing))
-    return rep, out
-
-
 def sweep_bandwidth(
     model: AnalyticModel,
     n: int,
@@ -296,47 +274,20 @@ def sweep_bandwidth(
     h_values = np.asarray(sorted(h_values), dtype=float)
     if h_values.size < 5:
         raise ValueError("sweep needs at least 5 bandwidth values")
-    args = [
-        (
-            model.family,
-            _model_params(model),
-            model.M,
-            n,
-            tuple(h_values),
-            seed,
-            outer,
-            rep,
-            grid.lo,
-            grid.hi,
-            grid.n_points,
-        )
-        for rep in range(replications)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_rep, args, chunksize=4))
-    else:
-        results = [_sweep_rep(a) for a in args]
-    results.sort(key=lambda t: t[0])
-
+    h_rows = [(float(h),) * model.M for h in h_values]
+    columns = _ise_columns(
+        model, n, h_rows, replications, seed, grid, outer, workers, chunksize=4
+    )
     rows = []
-    degenerate = 0
-    mises = np.empty(h_values.size)
-    for j, h in enumerate(h_values):
-        vals = np.array([r[j] for _, r in results if r[j] is not None])
-        degenerate += sum(1 for _, r in results if r[j] is None)
-        if vals.size < 2:
-            raise DegenerateMajority(f"no usable replications at h={h}")
-        m = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(vals.size))
-        mises[j] = m
-        rows.append((float(h), m, se))
-    argmin_h = _refine_argmin(h_values, mises)
+    for h, column in zip(h_values, columns):
+        mise, stderr = _mean_stderr(column)
+        rows.append((float(h), mise, stderr))
+    mises = np.array([m for _, m, _ in rows])
     return MiseCurve(
         rows=rows,
-        argmin_h=argmin_h,
+        argmin_h=_refine_argmin(h_values, mises),
         argmin_mise=float(mises.min()),
-        degenerate_count=degenerate,
+        degenerate_count=sum(column.count(None) for column in columns),
     )
 
 

@@ -126,19 +126,3 @@ def from_name(name: str) -> Kernel:
             Kernel(EPANECHNIKOV_FAMILY, (1.0, 0.375, 0.2, 0.125), 0.6)
         )
     raise ValueError(f"unknown kernel family {name!r}")
-
-
-def eval_kernel(kernel: Kernel, t) -> float:
-    return kernel(t)
-
-
-def moment(kernel: Kernel, s: int) -> float:
-    return kernel.moment(s)
-
-
-def roughness(kernel: Kernel) -> float:
-    return kernel.roughness
-
-
-def autocorrelation(kernel: Kernel, z) -> float:
-    return kernel.autocorrelation(z)

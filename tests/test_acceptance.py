@@ -38,7 +38,7 @@ from parkde.harness import (
     run_experiment,
     sweep_bandwidth,
 )
-from parkde.kernels import autocorrelation, from_name
+from parkde.kernels import from_name
 from parkde.quadrature import Grid, argmin_scalar, gradient_fd
 
 SQRT_PI = math.sqrt(math.pi)
@@ -155,7 +155,7 @@ def test_06_autocorrelation_kernel_moments():
     for name, lo, hi in (("gaussian", -12.0, 12.0), ("epanechnikov", -2.0, 2.0)):
         g = Grid(lo, hi, 16001)
         z = g.points
-        k2 = autocorrelation(from_name(name), z)
+        k2 = from_name(name).autocorrelation(z)
         mass = float(np.trapezoid(k2, z))
         first = float(np.trapezoid(z * k2, z))
         results[name] = (abs(mass - 1.0), abs(first))

@@ -129,6 +129,28 @@ class TestOptimize:
         assert len(rows) == 1 + len(res.trace)
         np.testing.assert_array_equal([float(v) for v in rows[-1][1:3]], res.h)
 
+    def test_grid_points_reach_optimizer(self, subset_dir, monkeypatch):
+        import parkde.cli as cli
+
+        seen = []
+        real = cli.optimize_bandwidth
+
+        def spy(subsets, kernel=None, opts=None, grid=None):
+            seen.append(grid)
+            return real(subsets, kernel, opts, grid=grid)
+
+        monkeypatch.setattr(cli, "optimize_bandwidth", spy)
+        assert main(["optimize", "--subsets", str(subset_dir), "--grid-points", "101"]) == EXIT_OK
+        assert seen[0].n_points == 101
+
+    @pytest.mark.parametrize("command", ["fit", "optimize"])
+    def test_lone_grid_bound_is_config_error(self, command, subset_dir, tmp_path):
+        argv = [command, "--subsets", str(subset_dir), "--grid-lo", "-3"]
+        if command == "fit":
+            argv += ["--bandwidth", "0.4", "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == EXIT_CONFIG
+        assert not (tmp_path / "o.csv").exists()
+
     def test_epanechnikov_rejected(self, subset_dir, tmp_path):
         code = main([
             "optimize", "--subsets", str(subset_dir),
@@ -160,6 +182,20 @@ class TestMiseSweep:
             "--out", str(tmp_path / "s.csv"),
         ])
         assert code == EXIT_CONFIG
+
+    def test_lone_grid_bound_is_config_error(self, tmp_path):
+        code = main([
+            "mise-sweep", "--family", "normal", "-M", "2", "--n", "80",
+            "--replications", "6", "--sweep-count", "5", "--seed", "3",
+            "--grid-hi", "4", "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == EXIT_CONFIG
+
+    def test_removed_policy_flags_rejected(self, capsys):
+        for flag in (["--h-policy", "fixed"], ["--h-fixed", "0.3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["mise-sweep", "--seed", "3", *flag])
+            assert exc.value.code == 2
 
     def test_seed_flag_required(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -7,8 +7,6 @@ from parkde.estimators import (
     AnalyticModel,
     DegenerateProduct,
     SubsetSample,
-    analytic_density,
-    eval_kde,
     eval_product,
     fit_subset_kde,
     normalize,
@@ -41,7 +39,6 @@ class TestSubsetKde:
         # mean of phi(1) and phi(-1)
         kde = kde_of([-1.0, 1.0], 1.0)
         assert kde(0.0) == pytest.approx(0.2419707, abs=5e-8)
-        assert eval_kde(kde, 0.0) == kde(0.0)
 
     def test_integrates_to_one(self):
         rng = np.random.default_rng(0)
@@ -102,6 +99,12 @@ class TestProduct:
         assert integrate_values(vals, g.spacing) == pytest.approx(1.0, abs=1e-9)
         assert post.c_hat == pytest.approx(1.0 / post.lambda_hat)
         assert post.n_subsets == 4
+
+    def test_stored_grid_values_match_posterior(self):
+        rng = np.random.default_rng(5)
+        g = Grid(-6, 6, 1201)
+        post = normalize([kde_of(rng.normal(0, 1, 150), 0.3) for _ in range(4)], g)
+        np.testing.assert_allclose(post.values, post.posterior(g.points), rtol=1e-15, atol=0)
 
     def test_disjoint_supports_are_degenerate(self):
         g = Grid(-50, 50, 2001)
@@ -171,10 +174,8 @@ class TestAnalyticModel:
         np.testing.assert_array_equal(a, b)
         assert (a > 0).all()
 
-    def test_analytic_density_dispatch(self):
+    def test_density_methods_agree(self):
         m = AnalyticModel.normal(0.0, 1.0, 2)
-        assert analytic_density(m, "subset", 0.3) == m.subset(0.3)
-        assert analytic_density(m, "product", 0.3) == m.product(0.3)
-        assert analytic_density(m, "posterior", 0.3) == m.posterior(0.3)
-        with pytest.raises(ValueError):
-            analytic_density(m, "joint", 0.3)
+        assert m.subset(0.3) == pytest.approx(math.exp(-0.045) / math.sqrt(2 * math.pi), rel=1e-15)
+        assert m.product(0.3) == m.subset(0.3) ** 2
+        assert m.posterior(0.3) == pytest.approx(m.c * m.product(0.3), rel=1e-12)

@@ -142,6 +142,14 @@ class TestSweep:
         assert c1.rows == c2.rows
         assert c1.argmin_h == c2.argmin_h
 
+    def test_mise_estimate_is_a_sweep_column(self):
+        g = Grid(-4, 4, 201)
+        hs = np.linspace(0.2, 0.5, 7)
+        curve = sweep_bandwidth(NORMAL4, 150, hs, replications=8, seed=12, grid=g, outer=1)
+        for h, mise, se in (curve.rows[0], curve.rows[3]):
+            est = estimate_mise(NORMAL4, 150, h, replications=8, seed=12, grid=g, outer=1)
+            assert (est.mise, est.stderr) == (mise, se)
+
     def test_needs_five_values(self):
         with pytest.raises(ValueError):
             sweep_bandwidth(NORMAL4, 200, [0.2, 0.3], 10, 0, Grid(-4, 4, 101))
@@ -155,11 +163,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(replications=0)
         with pytest.raises(ValueError):
-            ExperimentConfig(h_policy="bogus")
+            ExperimentConfig(sweep_lo=2.0, sweep_hi=1.0)
+
+    def test_grid_bounds_come_as_a_pair(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(h_policy="sweep", sweep_lo=2.0, sweep_hi=1.0)
+            ExperimentConfig(grid_lo=-3.0)
         with pytest.raises(ValueError):
-            ExperimentConfig(h_policy="fixed")
+            ExperimentConfig(grid_hi=3.0)
+        assert ExperimentConfig(grid_lo=-3.0, grid_hi=3.0, grid_points=11).grid() == Grid(-3.0, 3.0, 11)
 
     def test_from_json_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"

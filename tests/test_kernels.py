@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from parkde.kernels import Kernel, from_name, autocorrelation, eval_kernel, moment, roughness
+from parkde.kernels import Kernel, from_name
 from parkde.quadrature import Grid, integrate
 
 SQRT_PI = math.sqrt(math.pi)
@@ -107,12 +107,11 @@ def test_autocorrelation_at_zero_is_roughness():
         assert k.autocorrelation(0.0) == pytest.approx(k.roughness, rel=1e-12)
 
 
-def test_module_level_wrappers():
+def test_kernel_method_accessors():
     k = from_name("gaussian")
-    assert eval_kernel(k, 0.0) == k(0.0)
-    assert moment(k, 2) == k.k2
-    assert roughness(k) == k.roughness
-    assert autocorrelation(k, 0.7) == k.autocorrelation(0.7)
+    assert k(0.0) == 1.0 / math.sqrt(2.0 * math.pi)
+    assert k.moment(2) == k.k2
+    assert k.autocorrelation(0.7) == math.exp(-0.25 * 0.49) / (2.0 * SQRT_PI)
 
 
 def test_moment_order_bounds():

@@ -1,0 +1,13 @@
+"""The README's library quick start runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_start_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    assert blocks, "README has no python block"
+    for code in blocks:
+        exec(compile(code, str(README), "exec"), {})
