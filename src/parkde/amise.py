@@ -1,18 +1,18 @@
 """Asymptotic error functionals and the empirical plug-in surrogate.
 
-Notation: for M subset densities p_m with bandwidths h_m and sample sizes
-N_m, the leading bias of the product estimator is
+For M subset densities p_m with bandwidths h_m and sample sizes N_m, let
+L_m = prod_{k != m} p_k and q_m = p_m'' L_m. The product estimator's leading
+bias is B0 = (k2 / 2) sum_m h_m^2 q_m and its leading variance is
+V = R(K) sum_m p_m L_m^2 / (N_m h_m). The normalized estimator's error
+functional weights B0 by c = 1 / int prod_m p_m and V by c^2; with
+p = c prod_m p_m it is sum_ij h_i^2 h_j^2 beta_ij + sum_i nu_i / h_i, where
 
-    B0(x) = (k2 / 2) sum_m h_m^2 p_m''(x) prod_{k != m} p_k(x)
+    beta_ij = (c k2 / 2)^2 (I_i I_j S + U_ij - 2 I_i T_j),
+    nu_i = c^2 R(K) int p_i L_i^2 / N_i,
 
-and the leading variance is
-
-    V(x) = sum_m [ p_m(x) / (N_m h_m) ] prod_{k != m} p_k(x)^2 .
-
-The error functional for the normalized estimator weights both by the true
-normalization c = 1 / int p*:  its bias term is B(x) = c * B0(x) and its
-variance integral carries a factor c^2 (the same scaling that produces the
-closed-form constants A(M), B(M) of the symmetric case).
+I_i = int q_i, T_i = int q_i p, U_ij = int q_i q_j and S = int p^2 (Wand &
+Jones 1995, section 3.6). `_coefficients` alone forms beta and nu;
+`amise_bar` is `amise_hat` of its coefficients for the true densities.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import AnalyticModel, ProductPosterior, SubsetKde, normalize
+from .estimators import AnalyticModel, ProductPosterior, normalize
 from .kernels import Kernel, from_name
-from .quadrature import Grid, integrate_values
+from .quadrature import Grid, integrate_values, simpson_weights
 
 DensityProvider = Callable[..., np.ndarray]
 
@@ -40,35 +40,33 @@ def _providers(source) -> list[DensityProvider]:
     return comps
 
 
-def _density_table(densities: Sequence[DensityProvider], x, deriv2: bool = True):
+def _density_table(densities: Sequence[DensityProvider], x, deriv: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    P = np.stack([np.asarray(f(x, 0), dtype=float) for f in densities])
-    Pdd = (
-        np.stack([np.asarray(f(x, 2), dtype=float) for f in densities])
-        if deriv2
-        else None
-    )
-    return P, Pdd
+    return np.stack([np.asarray(f(x, deriv), dtype=float) for f in densities])
 
 
-def _prod_except(P: np.ndarray, m: int) -> np.ndarray:
-    idx = [k for k in range(P.shape[0]) if k != m]
-    if not idx:
-        return np.ones_like(P[0])
-    return np.prod(P[idx], axis=0)
+def _prod_except(P: np.ndarray) -> np.ndarray:
+    """Leave-one-out products: row m is the product of every row of P but m.
+
+    Prefix times suffix products, so a zero row needs no division.
+    """
+    L = np.ones_like(P)
+    np.cumprod(P[:-1], axis=0, out=L[1:])
+    suffix = np.ones_like(P[0])
+    for m in range(len(P) - 2, -1, -1):
+        suffix = suffix * P[m + 1]
+        L[m] *= suffix
+    return L
 
 
 def bias_leading(densities, h: Sequence[float], x, kernel: Kernel | None = None):
     """Leading bias of the product estimator at x (unscaled by c)."""
     kernel = kernel or from_name("gaussian")
     densities = _providers(densities)
-    h = np.asarray(h, dtype=float)
-    P, Pdd = _density_table(densities, x)
-    acc = np.zeros_like(P[0])
-    for m in range(len(densities)):
-        acc += h[m] ** 2 * Pdd[m] * _prod_except(P, m)
-    out = 0.5 * kernel.k2 * acc
-    return float(out[()]) if out.ndim == 0 else out
+    P, Pdd = _density_table(densities, x, 0), _density_table(densities, x, 2)
+    h2 = np.asarray(h, dtype=float) ** 2
+    out = 0.5 * kernel.k2 * (h2 @ (Pdd * _prod_except(P)))
+    return float(out) if out.ndim == 0 else out
 
 
 def variance_leading(
@@ -76,15 +74,11 @@ def variance_leading(
 ):
     """Leading variance of the product estimator at x (includes int K^2)."""
     kernel = kernel or from_name("gaussian")
-    densities = _providers(densities)
-    N = np.asarray(N, dtype=float)
-    h = np.asarray(h, dtype=float)
-    P, _ = _density_table(densities, x, deriv2=False)
-    acc = np.zeros_like(P[0])
-    for m in range(len(densities)):
-        acc += P[m] / (N[m] * h[m]) * _prod_except(P, m) ** 2
-    out = acc * kernel.roughness
-    return float(out[()]) if out.ndim == 0 else out
+    P = _density_table(_providers(densities), x, 0)
+    L = _prod_except(P)
+    weights = 1.0 / (np.asarray(N, dtype=float) * np.asarray(h, dtype=float))
+    out = kernel.roughness * (weights @ (P * L * L))
+    return float(out) if out.ndim == 0 else out
 
 
 def amise_product(
@@ -103,25 +97,11 @@ def amise_bar(
 ) -> float:
     """Leading-order weighted error of the normalized posterior estimator.
 
-    Four terms: squared mean-bias times posterior energy, integrated squared
-    bias, the c^2-scaled variance integral, and the bias cross term (its
-    double integral factorizes exactly).
+    Feeds the coefficient builder the true densities of source (a model, or
+    a list of density callables) and their second derivatives on the grid,
+    with sample sizes N, and evaluates the surrogate at h.
     """
-    kernel = kernel or from_name("gaussian")
-    densities = _providers(source)
-    x = grid.points
-    dx = grid.spacing
-    post = normalize(densities, grid)
-    c = post.c_hat
-    B = c * bias_leading(densities, h, x, kernel)
-    V = variance_leading(densities, N, h, x, kernel)
-    p = post.values
-    int_B = integrate_values(B, dx)
-    t1 = int_B**2 * integrate_values(p * p, dx)
-    t2 = integrate_values(B * B, dx)
-    t3 = c * c * integrate_values(V, dx)
-    t4 = -2.0 * int_B * integrate_values(B * p, dx)
-    return t1 + t2 + t3 + t4
+    return amise_hat(_source_coefficients(source, N, grid, kernel), h)
 
 
 @dataclass(frozen=True)
@@ -147,50 +127,59 @@ class AmiseCoefficients:
         object.__setattr__(self, "nu", nu)
 
 
+def _coefficients(
+    P: np.ndarray, Pdd: np.ndarray, N, post: ProductPosterior, kernel: Kernel
+) -> AmiseCoefficients:
+    """beta and nu from the densities P and curvatures Pdd (each M x G) on
+    post.grid; the one place the error functional's coefficients are formed."""
+    if not (np.isfinite(P).all() and np.isfinite(Pdd).all()):
+        raise ValueError("non-finite density or curvature values on the grid")
+    c = post.c_hat
+    w = simpson_weights(post.grid.n_points, post.grid.spacing)
+    L = _prod_except(P)
+    nu = c**2 * kernel.roughness / np.asarray(N, dtype=float)
+    nu = nu * np.einsum("mg,mg,mg,g->m", P, L, L, w)
+    # every remaining integral is a dot product of sqrt(w)-weighted rows
+    root_w = np.sqrt(w)
+    Q = np.multiply(L, Pdd, out=L)
+    Q *= root_w
+    p = post.values * root_w
+    I = Q @ root_w
+    T = Q @ p
+    U = Q @ Q.T
+    scale = (c * kernel.k2 / 2.0) ** 2
+    beta = scale * (np.outer(I, I) * (p @ p) + U - 2.0 * np.outer(I, T))
+    return AmiseCoefficients(beta, nu, len(P), kernel.roughness, kernel.k2)
+
+
+def _source_coefficients(
+    source, N, grid: Grid, kernel: Kernel | None = None
+) -> AmiseCoefficients:
+    """Coefficients for true densities: a model or density callables on grid."""
+    densities = _providers(source)
+    x = grid.points
+    P, Pdd = _density_table(densities, x, 0), _density_table(densities, x, 2)
+    post = normalize(densities, grid)
+    return _coefficients(P, Pdd, N, post, kernel or from_name("gaussian"))
+
+
 def empirical_coefficients(
     post: ProductPosterior, grid: Grid | None = None
 ) -> AmiseCoefficients:
     """Plug-in surrogate coefficients from fitted subset KDEs.
 
-    The true densities in the error functional are replaced by the KDEs and
-    c by the estimated normalization; requires Gaussian components because
-    second derivatives enter the integrands.
+    Feeds the coefficient builder the KDEs' values and curvatures on
+    post.grid, their sample sizes and post's normalization in place of the
+    true densities and c. Needs Gaussian components (second derivatives
+    enter); grid, if given, must equal post.grid.
     """
-    grid = grid or post.grid
+    if grid is not None and grid != post.grid:
+        raise ValueError(f"coefficients are taken on post.grid {post.grid}, not {grid}")
     comps = post.components
-    M = len(comps)
-    for kde in comps:
-        if not kde.kernel.smooth:
-            raise ValueError("empirical coefficients need gaussian components")
-    kernel = comps[0].kernel
-    x = grid.points
-    dx = grid.spacing
-
-    vals = [kde.value_and_curvature(x) for kde in comps]
-    P = np.stack([v[0] for v in vals])
-    Pdd = np.stack([v[1] for v in vals])
-    pstar = np.prod(P, axis=0)
-    c_hat = post.c_hat
-    p_hat = c_hat * pstar
-
-    # q_i = p_i'' prod_{k != i} p_k
-    Q = np.stack([Pdd[i] * _prod_except(P, i) for i in range(M)])
-    I = np.array([integrate_values(Q[i], dx) for i in range(M)])
-    S = integrate_values(p_hat * p_hat, dx)
-    T = np.array([integrate_values(Q[i] * p_hat, dx) for i in range(M)])
-    U = np.array(
-        [[integrate_values(Q[i] * Q[j], dx) for j in range(M)] for i in range(M)]
-    )
-
-    scale = c_hat**2 * kernel.k2**2 / 4.0
-    beta = scale * (np.outer(I, I) * S + U) - 2.0 * scale * np.outer(I, T)
-
-    N = np.array([kde.sample.size for kde in comps], dtype=float)
-    nu = np.empty(M)
-    for i in range(M):
-        integrand = P[i] / N[i] * _prod_except(P, i) ** 2
-        nu[i] = c_hat**2 * integrate_values(integrand, dx) * kernel.roughness
-    return AmiseCoefficients(beta, nu, M, kernel.roughness, kernel.k2)
+    x = post.grid.points
+    P, Pdd = np.stack([kde.value_and_curvature(x) for kde in comps], axis=1)
+    N = [kde.sample.size for kde in comps]
+    return _coefficients(P, Pdd, N, post, comps[0].kernel)
 
 
 def _check_h(coeffs: AmiseCoefficients, h) -> np.ndarray:

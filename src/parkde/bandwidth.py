@@ -9,12 +9,16 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .amise import AmiseCoefficients, amise_hat, amise_hat_grad, empirical_coefficients
+from .amise import (
+    AmiseCoefficients,
+    _source_coefficients,
+    amise_hat,
+    amise_hat_grad,
+    empirical_coefficients,
+)
 from .estimators import AnalyticModel, SubsetSample, fit_subset_kde, normalize
 from .kernels import Kernel, from_name
-from .quadrature import Grid, default_grid, integrate_values
-
-_SQRT_PI = math.sqrt(math.pi)
+from .quadrature import Grid, default_grid
 
 
 class GammaDomain(ValueError):
@@ -50,23 +54,13 @@ def h_opt_symmetric(n: int, A: float, B: float) -> float:
 def ab_constants(
     model: AnalyticModel, grid: Grid, kernel: Kernel | None = None
 ) -> tuple[float, float]:
-    """Symmetric-case constants A(M), B(M) by quadrature over the subset density."""
-    kernel = kernel or from_name("gaussian")
-    x = grid.points
-    dx = grid.spacing
-    M = model.M
-    p1 = np.asarray(model.subset(x, 0), dtype=float)
-    p1dd = np.asarray(model.subset(x, 2), dtype=float)
-    post = normalize([model.subset] * M, grid)
-    c = post.c_hat
-    q = p1dd * p1 ** (M - 1)
-    i1 = integrate_values(q, dx)
-    i2 = integrate_values(q * q, dx)
-    i3 = integrate_values(post.values**2, dx)
-    i4 = integrate_values(p1dd * p1 ** (2 * M - 1), dx)
-    A = M * c**2 * kernel.k2**2 / 4.0 * (i1**2 * i3 + i2 - 2.0 * c * i1 * i4)
-    B = c**2 * integrate_values(p1 ** (2 * M - 1), dx) * kernel.roughness
-    return A, B
+    """Symmetric-case constants A(M), B(M) of M A h^4 + M B / (n h).
+
+    Feeds the coefficient builder the model's subset densities with unit
+    sample sizes: A is the sum of beta over M and B the mean of nu.
+    """
+    coeffs = _source_coefficients(model, np.ones(model.M), grid, kernel)
+    return float(coeffs.beta.sum()) / model.M, float(coeffs.nu.mean())
 
 
 def h_opt_normal(n: int, M: int, sigma: float) -> float:

@@ -311,7 +311,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     mise_path = os.path.join(cfg.output_dir, "mise_vs_n.csv")
     ratio_path = os.path.join(cfg.output_dir, "ratio.csv")
     manifest_path = os.path.join(cfg.output_dir, "manifest.json")
-    written = []
     try:
         with open(mise_path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -337,7 +336,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                             est.degenerate_count,
                         ]
                     )
-        written.append(mise_path)
 
         with open(ratio_path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -374,7 +372,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                         repr(se),
                     ]
                 )
-        written.append(ratio_path)
 
         manifest = {
             "config": asdict(cfg),
@@ -389,11 +386,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         }
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh, indent=2)
-        written.append(manifest_path)
     except Exception:
-        for path in written:
-            if os.path.exists(path):
-                os.remove(path)
         for path in (mise_path, ratio_path, manifest_path):
             if os.path.exists(path):
                 os.remove(path)

@@ -39,27 +39,30 @@ class Grid:
         return np.linspace(self.lo, self.hi, self.n_points)
 
 
-def integrate_values(y: np.ndarray, spacing: float) -> float:
-    """Composite Simpson over equally spaced samples.
+def simpson_weights(n: int, spacing: float) -> np.ndarray:
+    """Composite Simpson weights for n equally spaced samples.
 
-    Uses a trapezoid on the final panel when the sample count is even.
+    A trapezoid takes the final panel when the sample count is even.
     """
-    y = np.asarray(y, dtype=float)
-    n = y.size
     if n < 2:
         raise ValueError("need at least two samples")
+    core = n - 1 + n % 2  # samples covered by three-point panels
+    w = np.zeros(n)
+    w[0 : core - 1 : 2] += 1.0
+    w[1:core:2] += 4.0
+    w[2:core:2] += 1.0
+    w *= spacing / 3.0
+    if core < n:
+        w[-2:] += 0.5 * spacing
+    return w
+
+
+def integrate_values(y: np.ndarray, spacing: float):
+    """Simpson integral of equally spaced samples along the last axis."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
     if not np.isfinite(y).all():
         raise ValueError("non-finite integrand values (density or derivative blow-up?)")
-    if n == 2:
-        return 0.5 * spacing * (y[0] + y[1])
-    if n % 2 == 1:
-        core = y
-        tail = 0.0
-    else:
-        core = y[:-1]
-        tail = 0.5 * spacing * (y[-2] + y[-1])
-    s = core[0] + core[-1] + 4.0 * core[1:-1:2].sum() + 2.0 * core[2:-2:2].sum()
-    return spacing / 3.0 * s + tail
+    return y @ simpson_weights(y.shape[-1], spacing)
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], grid: Grid) -> float:

@@ -5,11 +5,9 @@ acceptance report. Statistical checks use fixed seeds and the stated
 tolerances; they are calibrated to run single-threaded in a few minutes.
 """
 
-import json
 import math
 
 import numpy as np
-import pytest
 
 from parkde.amise import (
     AmiseCoefficients,
@@ -33,7 +31,6 @@ from parkde.estimators import (
 )
 from parkde.harness import (
     ExperimentConfig,
-    closed_form_h,
     estimate_mise,
     run_experiment,
     sweep_bandwidth,

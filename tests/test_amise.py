@@ -5,6 +5,7 @@ import pytest
 
 from parkde.amise import (
     AmiseCoefficients,
+    _prod_except,
     amise_bar,
     amise_hat,
     amise_hat_grad,
@@ -17,7 +18,7 @@ from parkde.amise import (
 from parkde.bandwidth import h_opt_normal
 from parkde.estimators import AnalyticModel, SubsetSample, fit_subset_kde, normalize
 from parkde.kernels import from_name
-from parkde.quadrature import Grid, argmin_scalar, gradient_fd
+from parkde.quadrature import Grid, argmin_scalar, gradient_fd, integrate_values
 
 GAUSS = from_name("gaussian")
 SQRT_PI = math.sqrt(math.pi)
@@ -101,6 +102,71 @@ def test_amise_bar_blows_up_as_h_vanishes():
     assert small > 100 * mid
 
 
+def four_term_amise_bar(model, N, h, grid):
+    """The normalized estimator's error functional as the integral of its
+    four terms: squared mean bias times posterior energy, integrated squared
+    bias, c^2-scaled variance, and the bias cross term."""
+    x, dx = grid.points, grid.spacing
+    post = normalize([model.subset] * model.M, grid)
+    c, p = post.c_hat, post.values
+    B = c * bias_leading(model, h, x)
+    V = variance_leading(model, N, h, x)
+    int_B = integrate_values(B, dx)
+    return (
+        int_B**2 * integrate_values(p * p, dx)
+        + integrate_values(B * B, dx)
+        + c * c * integrate_values(V, dx)
+        - 2.0 * int_B * integrate_values(B * p, dx)
+    )
+
+
+@pytest.mark.parametrize("family", ["normal", "gamma"])
+@pytest.mark.parametrize("M", [2, 4, 32])
+@pytest.mark.parametrize("points", [2001, 2000])
+def test_amise_bar_matches_four_term_functional(family, M, points):
+    if family == "normal":
+        model, grid = AnalyticModel.normal(0.3, 1.2, M), Grid(-5.0, 5.6, points)
+    else:
+        model, grid = AnalyticModel.gamma(3.0, 3.0, M), Grid(1e-9, 45.0, points)
+    rng = np.random.default_rng(M)
+    h = rng.uniform(0.1, 0.5, M)
+    N = rng.integers(100, 5000, M)
+    assert amise_bar(model, N, h, grid) == pytest.approx(
+        four_term_amise_bar(model, N, h, grid), rel=1e-10
+    )
+
+
+def test_amise_bar_validates_bandwidths():
+    m = AnalyticModel.normal(0.0, 1.0, 2)
+    g = Grid(-6, 6, 401)
+    with pytest.raises(ValueError):
+        amise_bar(m, [500] * 2, [0.3], g)
+    with pytest.raises(ValueError):
+        amise_bar(m, [500] * 2, [0.3, 0.0], g)
+
+
+def test_amise_bar_rejects_non_finite_curvature():
+    def density(x, deriv=0):
+        return np.exp(-0.5 * x * x) if deriv == 0 else np.full_like(x, np.inf)
+
+    with pytest.raises(ValueError):
+        amise_bar([density, density], [500] * 2, [0.3, 0.3], Grid(-6, 6, 401))
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        np.array([[0.5, 2.0, 3.0]]),
+        np.array([[0.5, 2.0, 3.0], [0.0, 0.0, 0.0], [1.5, 0.25, 4.0], [2.0, 3.0, 0.5]]),
+    ],
+    ids=["one row", "zero row"],
+)
+def test_prod_except_matches_direct_products(P):
+    L = _prod_except(P)
+    for m in range(len(P)):
+        np.testing.assert_allclose(L[m], np.prod(np.delete(P, m, axis=0), axis=0), rtol=1e-15)
+
+
 def test_empirical_coefficients_match_plugin_error_functional():
     # the surrogate must equal the error functional evaluated with the
     # fitted KDEs as densities, for any h, on the shared grid
@@ -110,6 +176,13 @@ def test_empirical_coefficients_match_plugin_error_functional():
     for h in ([0.2, 0.3, 0.25], [0.5, 0.1, 0.4]):
         direct = amise_bar(post.components, N, h, post.grid)
         assert amise_hat(coeffs, h) == pytest.approx(direct, rel=1e-6)
+
+
+def test_empirical_coefficients_reject_another_grid():
+    post = make_posterior(seed=3, M=2, n=100, h=0.4, pts=801)
+    assert empirical_coefficients(post, Grid(-5.0, 5.0, 801)).M == 2
+    with pytest.raises(ValueError):
+        empirical_coefficients(post, Grid(-5.0, 5.0, 401))
 
 
 def test_empirical_coefficients_require_smooth_kernel():

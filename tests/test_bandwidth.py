@@ -80,6 +80,22 @@ def test_ab_constants_m1_values():
     assert B == pytest.approx(0.2820948, abs=5e-7)
 
 
+@pytest.mark.parametrize(
+    "model, grid",
+    [
+        (AnalyticModel.normal(0.0, 1.0, 4), Grid(-9, 9, 4001)),
+        (AnalyticModel.gamma(3.0, 3.0, 8), Grid(1e-9, 45.0, 4000)),
+    ],
+)
+def test_ab_constants_give_amise_bar_at_a_common_bandwidth(model, grid):
+    A, B = ab_constants(model, grid)
+    M, n = model.M, 700
+    for h in (0.2, 0.6):
+        assert amise_bar(model, [n] * M, np.full(M, h), grid) == pytest.approx(
+            M * (A * h**4 + B / (n * h)), rel=1e-12
+        )
+
+
 def test_h_opt_normal_examples():
     assert h_opt_normal(1000, 1, 1.0) == pytest.approx(0.2660650, abs=5e-8)
     assert h_opt_normal(1000, 4, 1.0) == pytest.approx(

@@ -1,13 +1,11 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
 
 from parkde.estimators import AnalyticModel
 from parkde.harness import (
-    DegenerateMajority,
     ExperimentConfig,
     closed_form_h,
     default_model_grid,
@@ -17,7 +15,7 @@ from parkde.harness import (
     sample_model,
     sweep_bandwidth,
 )
-from parkde.quadrature import Grid, integrate
+from parkde.quadrature import Grid
 
 NORMAL4 = AnalyticModel.normal(0.0, 1.0, 4)
 
@@ -250,13 +248,17 @@ class TestRunExperiment:
         cfg = self.small_cfg(tmp_path)
         import parkde.harness as harness
 
+        out = tmp_path / "out"
+        written_before_failure = []
+
         def boom(*a, **kw):
+            written_before_failure.append((out / "mise_vs_n.csv").exists())
             raise RuntimeError("forced failure")
 
         monkeypatch.setattr(harness, "sweep_bandwidth", boom)
         with pytest.raises(RuntimeError):
             run_experiment(cfg)
-        out = tmp_path / "out"
+        assert written_before_failure == [True]
         assert not (out / "mise_vs_n.csv").exists()
         assert not (out / "ratio.csv").exists()
         assert not (out / "manifest.json").exists()

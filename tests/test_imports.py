@@ -1,0 +1,40 @@
+"""No module imports a name it never uses.
+
+No linter ships with the project, so this parses the package modules and
+the test files and compares the names each one imports with the names it
+reads. The package's __init__.py is skipped: its imports are re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(
+    p for p in (ROOT / "src" / "parkde").glob("*.py") if p.name != "__init__.py"
+) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_scan_flags_only_unused_names():
+    src = "import os\nimport os.path as osp\nfrom a import b, c\nprint(b, osp)\n"
+    assert unused_imports(src) == ["os (line 1)", "c (line 3)"]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -1,10 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from parkde.kernels import Kernel, from_name
+from parkde.kernels import from_name
 from parkde.quadrature import Grid, integrate
 
 SQRT_PI = math.sqrt(math.pi)

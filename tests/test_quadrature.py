@@ -11,6 +11,7 @@ from parkde.quadrature import (
     gradient_fd,
     integrate,
     integrate_values,
+    simpson_weights,
 )
 
 
@@ -57,6 +58,20 @@ def test_simpson_refinement_order():
     e1 = abs(integrate(f, Grid(0.0, 2.0, 51)) - ref)
     e2 = abs(integrate(f, Grid(0.0, 2.0, 101)) - ref)
     assert e1 / e2 > 8.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 401])
+def test_simpson_integrates_rows_of_a_table(n):
+    y = np.random.default_rng(n).uniform(-1.0, 2.0, (5, n))
+    rows = [integrate_values(row, 0.1) for row in y]
+    np.testing.assert_allclose(integrate_values(y, 0.1), rows, rtol=1e-13)
+
+
+def test_simpson_weights_sum_to_the_interval_length():
+    for n in (2, 3, 4, 5, 100, 101):
+        w = simpson_weights(n, 0.25)
+        assert w.shape == (n,) and np.all(w > 0)
+        assert w.sum() == pytest.approx(0.25 * (n - 1), rel=1e-14)
 
 
 def test_simpson_rejects_bad_input():
