@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import AnalyticModel, ProductPosterior, normalize
+from .estimators import AnalyticModel, ProductPosterior, grid_rows
 from .kernels import Kernel, from_name
 from .quadrature import Grid, integrate_values, simpson_weights
 
@@ -152,14 +152,22 @@ def _coefficients(
     return AmiseCoefficients(beta, nu, len(P), kernel.roughness, kernel.k2)
 
 
+def _grid_tables(source, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Values and curvatures (each M x G) of source's subset densities at
+    grid.points; a model's one subset density is evaluated once and its
+    rows repeated."""
+    if isinstance(source, AnalyticModel):
+        rows = grid_rows(source.subset, grid, (0, 2))
+        return np.repeat(rows[:, None], source.M, axis=1)
+    return np.stack([grid_rows(f, grid, (0, 2)) for f in _providers(source)], axis=1)
+
+
 def _source_coefficients(
     source, N, grid: Grid, kernel: Kernel | None = None
 ) -> AmiseCoefficients:
     """Coefficients for true densities: a model or density callables on grid."""
-    densities = _providers(source)
-    x = grid.points
-    P, Pdd = _density_table(densities, x, 0), _density_table(densities, x, 2)
-    post = normalize(densities, grid)
+    P, Pdd = _grid_tables(source, grid)
+    post = ProductPosterior.from_product(_providers(source), grid, np.prod(P, axis=0))
     return _coefficients(P, Pdd, N, post, kernel or from_name("gaussian"))
 
 
@@ -176,8 +184,7 @@ def empirical_coefficients(
     if grid is not None and grid != post.grid:
         raise ValueError(f"coefficients are taken on post.grid {post.grid}, not {grid}")
     comps = post.components
-    x = post.grid.points
-    P, Pdd = np.stack([kde.value_and_curvature(x) for kde in comps], axis=1)
+    P, Pdd = _grid_tables(comps, post.grid)
     N = [kde.sample.size for kde in comps]
     return _coefficients(P, Pdd, N, post, comps[0].kernel)
 

@@ -16,6 +16,11 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 DEGENERATE_LAMBDA = 1e-300
 
+# (x, draw) pairs per block of the exact sum: 8 MB per kernel temporary
+_BLOCK_PAIRS = 2**20
+# below this many grid spacings per bandwidth, grid values come from the exact sum
+_MIN_BINS_PER_H = 4
+
 NORMAL_FAMILY = "normal"
 GAMMA_FAMILY = "gamma"
 
@@ -57,6 +62,11 @@ class SubsetKde:
     kernel: Kernel
 
     def __call__(self, x, deriv: int = 0):
+        """Exact KDE (or its deriv-th derivative) at x.
+
+        Sums over the sample in blocks of at most _BLOCK_PAIRS (x, draw)
+        pairs, so memory stays bounded for any sample size.
+        """
         if deriv not in (0, 1, 2):
             raise ValueError(f"deriv must be in 0..2, got {deriv}")
         if deriv > 0 and not self.kernel.smooth:
@@ -67,23 +77,49 @@ class SubsetKde:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         h = self.bandwidth
-        t = (x.reshape(-1, 1) - self.sample.values) / h
-        vals = self.kernel.deriv(t, deriv).sum(axis=1)
+        xs = x.reshape(-1, 1)
+        step = max(1, _BLOCK_PAIRS // xs.shape[0])
+        vals = np.zeros(xs.shape[0])
+        for lo in range(0, self.sample.size, step):
+            t = (xs - self.sample.values[lo : lo + step]) / h
+            vals += self.kernel.deriv(t, deriv).sum(axis=1)
         vals /= self.sample.size * h ** (deriv + 1)
         return float(vals[0]) if scalar else vals
 
-    def value_and_curvature(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(KDE, second derivative) on x, sharing one pass over the sample."""
-        if not self.kernel.smooth:
-            raise ValueError("curvature needs a smooth (gaussian) kernel")
-        x = np.asarray(x, dtype=float)
-        h = self.bandwidth
-        t = (x.reshape(-1, 1) - self.sample.values) / h
-        phi = np.exp(-0.5 * t * t) / _SQRT_2PI
+    def on_grid(self, grid: Grid, derivs: Sequence[int] = (0,)) -> np.ndarray:
+        """KDE derivatives of the given orders at grid.points, one row each.
+
+        The one way a subset KDE is evaluated on a grid. The sample is
+        binned linearly onto the grid extended by L = ceil(reach h / spacing)
+        points on each side, and the bin weights are convolved with the
+        kernel at offsets -L..L (Wand 1994, JCGS 3:433). Draws beyond the
+        extended grid are dropped: they add nothing above the kernel's
+        truncation at its reach. Values are sums of non-negative terms and
+        exactly zero farther than reach h from every draw. The rows come
+        from the exact sum instead when linear binning is too coarse (fewer
+        than _MIN_BINS_PER_H grid spacings per bandwidth) or the kernel
+        reaches farther than the grid is long (L > G), where the bins and
+        the kernel table would outgrow the grid.
+        """
+        h, dx, G = self.bandwidth, grid.spacing, grid.n_points
+        reach = self.kernel.reach * h / dx  # in grid spacings
+        if h < _MIN_BINS_PER_H * dx or reach > G:
+            return np.stack([self(grid.points, d) for d in derivs])
+        L = math.ceil(reach)
+        size = G + 2 * L
+        u = (self.sample.values - grid.lo) / dx + L  # position on the extended grid
+        u = u[(u >= 0.0) & (u <= size - 1)]
+        j = np.floor(u).astype(np.intp)
+        frac = u - j
+        bins = np.bincount(j, weights=1.0 - frac, minlength=size + 1)
+        bins[1:] += np.bincount(j, weights=frac, minlength=size)
+        bins = bins[:size]
+        t = np.arange(-L, L + 1) * (dx / h)
         n = self.sample.size
-        p = phi.sum(axis=1) / (n * h)
-        pdd = ((t * t - 1.0) * phi).sum(axis=1) / (n * h**3)
-        return p, pdd
+        return np.stack([
+            np.convolve(bins, self.kernel.deriv(t, d) / (n * h ** (d + 1)), mode="valid")
+            for d in derivs
+        ])
 
 
 def fit_subset_kde(sample: SubsetSample, h: float, kernel: Kernel) -> SubsetKde:
@@ -109,9 +145,9 @@ def eval_product(components: Sequence[SubsetKde], x):
 class ProductPosterior:
     """Normalized product of subset KDEs with its mass and values on a grid.
 
-    values holds the normalized density at grid.points, so callers that want
-    the grid do not evaluate the components a second time; posterior(x)
-    evaluates them afresh at any x.
+    values holds the normalized density at grid.points, from the components'
+    grid rows, so callers that want the grid do not evaluate the components
+    a second time; posterior(x) evaluates them exactly at any x.
     """
 
     components: tuple[SubsetKde, ...]
@@ -133,20 +169,40 @@ class ProductPosterior:
     def posterior(self, x):
         return self.c_hat * self.product(x)
 
+    @classmethod
+    def from_product(
+        cls, components: Sequence, grid: Grid, vals: np.ndarray
+    ) -> "ProductPosterior":
+        """Normalize the components' product values on grid; the one place
+        the mass is integrated and checked."""
+        lam = integrate_values(vals, grid.spacing)
+        if lam <= DEGENERATE_LAMBDA:
+            raise DegenerateProduct(
+                f"product mass {lam!r} underflowed; subset supports nearly disjoint"
+            )
+        return cls(tuple(components), grid, lam, vals / lam)
+
+
+def grid_rows(component, grid: Grid, derivs: Sequence[int] = (0,)) -> np.ndarray:
+    """A density component's derivatives of the given orders at grid.points.
+
+    Subset KDEs go through `SubsetKde.on_grid`; any other component is a
+    callable of (x, deriv), such as `AnalyticModel.subset`.
+    """
+    if isinstance(component, SubsetKde):
+        return component.on_grid(grid, derivs)
+    return np.stack([component(grid.points, d) for d in derivs])
+
 
 def normalize(components: Sequence[SubsetKde], grid: Grid) -> ProductPosterior:
     """Integrate the product on the grid and wrap it as a density.
 
-    The one place a product is normalized. Components are subset KDEs or
-    any other density callables of x, such as `AnalyticModel.subset`.
+    Components are subset KDEs or other density callables (see `grid_rows`).
     """
-    vals = eval_product(components, grid.points)
-    lam = integrate_values(vals, grid.spacing)
-    if lam <= DEGENERATE_LAMBDA:
-        raise DegenerateProduct(
-            f"product mass {lam!r} underflowed; subset supports nearly disjoint"
-        )
-    return ProductPosterior(tuple(components), grid, lam, vals / lam)
+    vals = np.ones(grid.n_points)
+    for c in components:
+        vals = vals * grid_rows(c, grid)[0]
+    return ProductPosterior.from_product(components, grid, vals)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,12 @@ class Kernel:
         return out if out.ndim else float(out)
 
     @property
+    def reach(self) -> float:
+        """|t| beyond which K and its derivatives are taken as zero: 8 for the
+        Gaussian (phi(8) is 1.3e-14 of phi(0)), the support edge 1 otherwise."""
+        return 8.0 if self.family == GAUSSIAN_FAMILY else 1.0
+
+    @property
     def smooth(self) -> bool:
         """Whether analytic derivatives of the kernel are available."""
         return self.family == GAUSSIAN_FAMILY
