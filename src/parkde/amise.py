@@ -59,36 +59,45 @@ def _prod_except(P: np.ndarray) -> np.ndarray:
     return L
 
 
-def bias_leading(densities, h: Sequence[float], x, kernel: Kernel | None = None):
-    """Leading bias of the product estimator at x (unscaled by c)."""
-    kernel = kernel or from_name("gaussian")
+def _leading(P: np.ndarray, Pdd: np.ndarray, N, h, kernel: Kernel):
+    """Pointwise leading bias and variance of the product estimator from the
+    subset densities P and curvatures Pdd (each M x points)."""
+    L = _prod_except(P)
+    h = np.asarray(h, dtype=float)
+    bias = 0.5 * kernel.k2 * (h**2 @ (Pdd * L))
+    weights = 1.0 / (np.asarray(N, dtype=float) * h)
+    return bias, kernel.roughness * (weights @ (P * L * L))
+
+
+def _leading_at(densities, N, h, x, kernel: Kernel | None):
     densities = _providers(densities)
     P, Pdd = _density_table(densities, x, 0), _density_table(densities, x, 2)
-    h2 = np.asarray(h, dtype=float) ** 2
-    out = 0.5 * kernel.k2 * (h2 @ (Pdd * _prod_except(P)))
-    return float(out) if out.ndim == 0 else out
+    bias, variance = _leading(P, Pdd, N, h, kernel or from_name("gaussian"))
+    return (float(bias), float(variance)) if bias.ndim == 0 else (bias, variance)
+
+
+def bias_leading(densities, h: Sequence[float], x, kernel: Kernel | None = None):
+    """Leading bias of the product estimator at x (unscaled by c)."""
+    return _leading_at(densities, np.ones(len(h)), h, x, kernel)[0]
 
 
 def variance_leading(
     densities, N: Sequence[int], h: Sequence[float], x, kernel: Kernel | None = None
 ):
     """Leading variance of the product estimator at x (includes int K^2)."""
-    kernel = kernel or from_name("gaussian")
-    P = _density_table(_providers(densities), x, 0)
-    L = _prod_except(P)
-    weights = 1.0 / (np.asarray(N, dtype=float) * np.asarray(h, dtype=float))
-    out = kernel.roughness * (weights @ (P * L * L))
-    return float(out) if out.ndim == 0 else out
+    return _leading_at(densities, N, h, x, kernel)[1]
 
 
 def amise_product(
     source, N: Sequence[int], h: Sequence[float], grid: Grid, kernel: Kernel | None = None
 ) -> float:
-    """Leading-order mean integrated squared error of the raw product."""
-    kernel = kernel or from_name("gaussian")
-    x = grid.points
-    b = bias_leading(source, h, x, kernel)
-    v = variance_leading(source, N, h, x, kernel)
+    """Leading-order mean integrated squared error of the raw product.
+
+    A model's one subset density and curvature are evaluated once
+    (`_grid_tables`).
+    """
+    P, Pdd = _grid_tables(source, grid)
+    b, v = _leading(P, Pdd, N, h, kernel or from_name("gaussian"))
     return integrate_values(b * b, grid.spacing) + integrate_values(v, grid.spacing)
 
 

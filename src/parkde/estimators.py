@@ -87,39 +87,62 @@ class SubsetKde:
         return float(vals[0]) if scalar else vals
 
     def on_grid(self, grid: Grid, derivs: Sequence[int] = (0,)) -> np.ndarray:
-        """KDE derivatives of the given orders at grid.points, one row each.
+        """KDE derivatives of the given orders at grid.points, one row each
+        (see `kde_rows`)."""
+        return kde_rows(self.sample, [self.bandwidth], self.kernel, grid, derivs)[0]
 
-        The one way a subset KDE is evaluated on a grid. The sample is
-        binned linearly onto the grid extended by L = ceil(reach h / spacing)
-        points on each side, and the bin weights are convolved with the
-        kernel at offsets -L..L (Wand 1994, JCGS 3:433). Draws beyond the
-        extended grid are dropped: they add nothing above the kernel's
-        truncation at its reach. Values are sums of non-negative terms and
-        exactly zero farther than reach h from every draw. The rows come
-        from the exact sum instead when linear binning is too coarse (fewer
-        than _MIN_BINS_PER_H grid spacings per bandwidth) or the kernel
-        reaches farther than the grid is long (L > G), where the bins and
-        the kernel table would outgrow the grid.
-        """
-        h, dx, G = self.bandwidth, grid.spacing, grid.n_points
-        reach = self.kernel.reach * h / dx  # in grid spacings
+
+def kde_rows(
+    sample: SubsetSample,
+    bandwidths: Sequence[float],
+    kernel: Kernel,
+    grid: Grid,
+    derivs: Sequence[int] = (0,),
+) -> np.ndarray:
+    """KDE derivatives at grid.points, shape (len(bandwidths), len(derivs), G).
+
+    The one way a subset KDE is evaluated on a grid. The sample is binned
+    linearly once, onto the grid extended by the largest L = ceil(reach h /
+    spacing) points on each side, and each bandwidth convolves the central
+    G + 2L bins with the kernel at offsets -L..L (Wand 1994, JCGS 3:433).
+    Positions are taken from grid.lo and every draw keeps the weight it puts
+    into the extended bins, so a bin's weight does not depend on L and each
+    row equals the row of a one-bandwidth call bit for bit. Values are sums
+    of non-negative terms and exactly zero farther than reach h from every
+    draw. A bandwidth's rows come from the exact sum instead when linear
+    binning is too coarse (fewer than _MIN_BINS_PER_H grid spacings per
+    bandwidth) or the kernel reaches farther than the grid is long (L > G),
+    where the bins and the kernel table would outgrow the grid.
+    """
+    dx, G, n = grid.spacing, grid.n_points, sample.size
+    out = np.empty((len(bandwidths), len(derivs), G))
+    binned = []
+    for i, h in enumerate(bandwidths):
+        reach = kernel.reach * h / dx  # in grid spacings
         if h < _MIN_BINS_PER_H * dx or reach > G:
-            return np.stack([self(grid.points, d) for d in derivs])
-        L = math.ceil(reach)
-        size = G + 2 * L
-        u = (self.sample.values - grid.lo) / dx + L  # position on the extended grid
-        u = u[(u >= 0.0) & (u <= size - 1)]
-        j = np.floor(u).astype(np.intp)
-        frac = u - j
-        bins = np.bincount(j, weights=1.0 - frac, minlength=size + 1)
-        bins[1:] += np.bincount(j, weights=frac, minlength=size)
-        bins = bins[:size]
+            kde = SubsetKde(sample, h, kernel)
+            out[i] = [kde(grid.points, d) for d in derivs]
+        else:
+            binned.append((i, h, math.ceil(reach)))
+    if not binned:
+        return out
+    top = max(L for _, _, L in binned)
+    u = (sample.values - grid.lo) / dx
+    # draws that put weight into grid points -top..G-1+top
+    u = u[(u >= -1.0 - top) & (u < G + top)]
+    j = np.floor(u)
+    frac = u - j
+    j = j.astype(np.intp) + top + 1  # grid point k is bin k + top + 1
+    bins = np.bincount(j, weights=1.0 - frac, minlength=G + 2 * top + 2)
+    bins[1:] += np.bincount(j, weights=frac, minlength=G + 2 * top + 1)
+    for i, h, L in binned:
+        central = bins[top + 1 - L : top + 1 + G + L]
         t = np.arange(-L, L + 1) * (dx / h)
-        n = self.sample.size
-        return np.stack([
-            np.convolve(bins, self.kernel.deriv(t, d) / (n * h ** (d + 1)), mode="valid")
-            for d in derivs
-        ])
+        for k, d in enumerate(derivs):
+            out[i, k] = np.convolve(
+                central, kernel.deriv(t, d) / (n * h ** (d + 1)), mode="valid"
+            )
+    return out
 
 
 def fit_subset_kde(sample: SubsetSample, h: float, kernel: Kernel) -> SubsetKde:

@@ -26,9 +26,10 @@ from .bandwidth import h_opt_gamma, h_opt_normal
 from .estimators import (
     AnalyticModel,
     DegenerateProduct,
+    ProductPosterior,
     SubsetSample,
     fit_subset_kde,
-    normalize,
+    kde_rows,
 )
 from .kernels import from_name
 from .quadrature import Grid, integrate_values
@@ -66,6 +67,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if not (self.sweep_lo < self.sweep_hi):
             raise ValueError("sweep needs lo < hi")
         if (self.grid_lo is None) != (self.grid_hi is None):
@@ -142,45 +145,60 @@ def _replication(job) -> list[float | None]:
     """ISE of the normalized product for each bandwidth row on one replication.
 
     The samples are drawn once and reused for every row (common random
-    numbers); a degenerate product gives None in its row.
+    numbers), and each subset's sample is binned once for all rows; a
+    degenerate product gives None in its row.
     """
     model, n, h_rows, seed, outer, rep, grid = job
     kernel = from_name("gaussian")
     samples = sample_model(model, model.M, n, seed, outer, rep)
     truth = np.asarray(model.posterior(grid.points), dtype=float)
+    products = [[fit_subset_kde(s, h, kernel) for s, h in zip(samples, row)] for row in h_rows]
+    # per subset, its KDE row at each h row's bandwidth
+    subset_rows = [
+        kde_rows(s, [kdes[m].bandwidth for kdes in products], kernel, grid)[:, 0]
+        for m, s in enumerate(samples)
+    ]
     out: list[float | None] = []
-    for h in h_rows:
-        kdes = [fit_subset_kde(s, hv, kernel) for s, hv in zip(samples, h)]
+    for r, kdes in enumerate(products):
+        vals = np.ones(grid.n_points)
+        for rows in subset_rows:
+            vals = vals * rows[r]
         try:
-            vals = normalize(kdes, grid).values
+            post = ProductPosterior.from_product(kdes, grid, vals)
         except DegenerateProduct:
             out.append(None)
             continue
-        out.append(integrate_values((vals - truth) ** 2, grid.spacing))
+        out.append(integrate_values((post.values - truth) ** 2, grid.spacing))
     return out
 
 
 def _ise_columns(
-    model: AnalyticModel,
-    n: int,
-    h_rows: Sequence[tuple[float, ...]],
-    replications: int,
-    seed,
-    grid: Grid,
-    outer: int,
-    workers: int,
-    chunksize: int,
-) -> list[tuple[float | None, ...]]:
-    """Per h row, the ISEs of every replication in replication order."""
+    batches: Sequence[tuple], replications: int, seed, grid: Grid, workers: int
+) -> list[list[tuple[float | None, ...]]]:
+    """Per (model, n, h_rows, outer) batch and per h row, the ISEs of every
+    replication in replication order.
+
+    Every replication job of every batch goes through one map: one process
+    pool of at most one worker per job, or this process for one worker.
+    """
     if replications < 2:
         raise ValueError("need at least 2 replications for a standard error")
-    jobs = [(model, n, h_rows, seed, outer, rep, grid) for rep in range(replications)]
+    jobs = [
+        (model, n, h_rows, seed, outer, rep, grid)
+        for model, n, h_rows, outer in batches
+        for rep in range(replications)
+    ]
+    workers = min(workers, len(jobs))
     if workers > 1:
+        chunksize = max(1, len(jobs) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replication, jobs, chunksize=chunksize))
     else:
         results = [_replication(job) for job in jobs]
-    return list(zip(*results))
+    return [
+        list(zip(*results[b : b + replications]))
+        for b in range(0, len(results), replications)
+    ]
 
 
 def _mean_stderr(column: Sequence[float | None]) -> tuple[float, float]:
@@ -200,6 +218,20 @@ class MiseEstimate:
     degenerate_count: int
 
 
+def _mise_estimate(column: Sequence[float | None]) -> MiseEstimate:
+    """MISE estimate from one column of replication ISEs."""
+    replications = len(column)
+    degenerate = column.count(None)
+    if degenerate:
+        warnings.warn(f"{degenerate}/{replications} degenerate replications excluded")
+    if degenerate > replications // 2:
+        raise DegenerateMajority(
+            f"{degenerate} of {replications} replications degenerate"
+        )
+    mise, stderr = _mean_stderr(column)
+    return MiseEstimate(mise=mise, stderr=stderr, degenerate_count=degenerate)
+
+
 def estimate_mise(
     model: AnalyticModel,
     n: int,
@@ -216,18 +248,8 @@ def estimate_mise(
     seed and outer, the estimate equals that sweep's row at h.
     """
     h = tuple(np.broadcast_to(np.asarray(h, dtype=float), (model.M,)))
-    (column,) = _ise_columns(
-        model, n, [h], replications, seed, grid, outer, workers, chunksize=8
-    )
-    degenerate = column.count(None)
-    if degenerate:
-        warnings.warn(f"{degenerate}/{replications} degenerate replications excluded")
-    if degenerate > replications // 2:
-        raise DegenerateMajority(
-            f"{degenerate} of {replications} replications degenerate"
-        )
-    mise, stderr = _mean_stderr(column)
-    return MiseEstimate(mise=mise, stderr=stderr, degenerate_count=degenerate)
+    ((column,),) = _ise_columns([(model, n, [h], outer)], replications, seed, grid, workers)
+    return _mise_estimate(column)
 
 
 # ---------------------------------------------------------------------------
@@ -260,24 +282,16 @@ def _refine_argmin(hs: np.ndarray, ms: np.ndarray) -> float:
     return float(vertex)
 
 
-def sweep_bandwidth(
-    model: AnalyticModel,
-    n: int,
-    h_values: Sequence[float],
-    replications: int,
-    seed,
-    grid: Grid,
-    outer: int = 0,
-    workers: int = 1,
-) -> MiseCurve:
-    """MISE curve over a bandwidth range with common random numbers."""
+def _sweep_rows(model: AnalyticModel, h_values) -> tuple[np.ndarray, list[tuple]]:
+    """Sorted sweep bandwidths and their h rows, one common h per row."""
     h_values = np.asarray(sorted(h_values), dtype=float)
     if h_values.size < 5:
         raise ValueError("sweep needs at least 5 bandwidth values")
-    h_rows = [(float(h),) * model.M for h in h_values]
-    columns = _ise_columns(
-        model, n, h_rows, replications, seed, grid, outer, workers, chunksize=4
-    )
+    return h_values, [(float(h),) * model.M for h in h_values]
+
+
+def _curve(h_values: np.ndarray, columns: Sequence[Sequence[float | None]]) -> MiseCurve:
+    """MISE curve from the replication ISEs of each sweep bandwidth."""
     rows = []
     for h, column in zip(h_values, columns):
         mise, stderr = _mean_stderr(column)
@@ -291,6 +305,22 @@ def sweep_bandwidth(
     )
 
 
+def sweep_bandwidth(
+    model: AnalyticModel,
+    n: int,
+    h_values: Sequence[float],
+    replications: int,
+    seed,
+    grid: Grid,
+    outer: int = 0,
+    workers: int = 1,
+) -> MiseCurve:
+    """MISE curve over a bandwidth range with common random numbers."""
+    h_values, h_rows = _sweep_rows(model, h_values)
+    (columns,) = _ise_columns([(model, n, h_rows, outer)], replications, seed, grid, workers)
+    return _curve(h_values, columns)
+
+
 # ---------------------------------------------------------------------------
 # full experiment
 
@@ -299,31 +329,43 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Reproduce the bandwidth-policy comparison and ratio experiments.
 
     Writes mise_vs_n.csv (both closed-form policies), ratio.csv (closed-form
-    h against the sweep-located argmin) and a run manifest. Returns a dict
-    of the output paths.
+    h against the sweep-located argmin) and a run manifest that lists each
+    degenerate replication. Every replication of the experiment goes through
+    one job map; both policies of an n share one batch, and so their
+    samples. Returns a dict of the output paths.
     """
     if cfg.seed is None:
         raise ValueError("experiment requires a seed")
     t0 = time.time()
     model = cfg.model()
     grid = cfg.grid()
+    ns = cfg.n_per_subset
     os.makedirs(cfg.output_dir, exist_ok=True)
     mise_path = os.path.join(cfg.output_dir, "mise_vs_n.csv")
     ratio_path = os.path.join(cfg.output_dir, "ratio.csv")
     manifest_path = os.path.join(cfg.output_dir, "manifest.json")
+    policies = (("h_opt", False), ("h_opt_baseline", True))
     try:
+        policy_hs = [[closed_form_h(model, n, baseline=b) for _, b in policies] for n in ns]
+        batches = [(model, n, [(h,) * model.M for h in hs], 0) for n, hs in zip(ns, policy_hs)]
+        sweeps = []
+        for n in ns:
+            h_opt = closed_form_h(model, n)
+            h_values, h_rows = _sweep_rows(
+                model, np.linspace(cfg.sweep_lo * h_opt, cfg.sweep_hi * h_opt, cfg.sweep_count)
+            )
+            batches += [(model, n, h_rows, 1 + r) for r in range(cfg.outer_repeats)]
+            sweeps.append((n, h_opt, h_values))
+        columns = _ise_columns(batches, cfg.replications, cfg.seed, grid, cfg.workers)
+
         with open(mise_path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(
                 ["model", "M", "n", "policy", "h", "mise", "stderr", "degenerate_count"]
             )
-            for n in cfg.n_per_subset:
-                for policy, baseline in (("h_opt", False), ("h_opt_baseline", True)):
-                    h = closed_form_h(model, n, baseline=baseline)
-                    est = estimate_mise(
-                        model, n, h, cfg.replications, cfg.seed, grid,
-                        outer=0, workers=cfg.workers,
-                    )
+            for n, hs, batch_columns in zip(ns, policy_hs, columns):
+                for (policy, _), h, column in zip(policies, hs, batch_columns):
+                    est = _mise_estimate(column)
                     w.writerow(
                         [
                             cfg.family,
@@ -337,24 +379,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                         ]
                     )
 
+        sweep_columns = iter(columns[len(ns):])
         with open(ratio_path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["model", "M", "n", "h_opt", "h_argmin", "ratio", "ratio_stderr"])
-            for n in cfg.n_per_subset:
-                h_opt = closed_form_h(model, n)
-                hs = np.linspace(
-                    cfg.sweep_lo * h_opt, cfg.sweep_hi * h_opt, cfg.sweep_count
-                )
-                ratios = []
-                argmins = []
-                for r in range(cfg.outer_repeats):
-                    curve = sweep_bandwidth(
-                        model, n, hs, cfg.replications, cfg.seed, grid,
-                        outer=1 + r, workers=cfg.workers,
-                    )
-                    argmins.append(curve.argmin_h)
-                    ratios.append(h_opt / curve.argmin_h)
-                ratios = np.asarray(ratios)
+            for n, h_opt, h_values in sweeps:
+                argmins = [
+                    _curve(h_values, next(sweep_columns)).argmin_h
+                    for _ in range(cfg.outer_repeats)
+                ]
+                ratios = np.asarray([h_opt / a for a in argmins])
                 # stderr over outer repeats is undefined for a single repeat
                 se = (
                     float(ratios.std(ddof=1) / math.sqrt(ratios.size))
@@ -383,6 +417,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             },
             "wall_time_s": time.time() - t0,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            # every row of the experiment shares one h across subsets
+            "degenerate": [
+                {"n": n, "outer": outer, "rep": rep, "h": h_row[0]}
+                for (_, n, h_rows, outer), batch_columns in zip(batches, columns)
+                for h_row, column in zip(h_rows, batch_columns)
+                for rep, ise_value in enumerate(column)
+                if ise_value is None
+            ],
         }
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh, indent=2)

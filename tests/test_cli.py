@@ -253,6 +253,16 @@ class TestExperimentAndReport:
         cfg_path.write_text(json.dumps({"family": "normal", "bogus": 1}))
         assert main(["experiment", "--config", str(cfg_path), "--seed", "1"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_fewer_than_one_worker_is_config_error(self, tmp_path, workers):
+        code = main([
+            "experiment", "--family", "normal", "-M", "2", "--n", "60",
+            "--replications", "6", "--sweep-count", "5", "--seed", "1",
+            "--workers", workers, "--output-dir", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main([
             "experiment", "--config", str(tmp_path / "none.json"), "--seed", "1",

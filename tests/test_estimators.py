@@ -10,6 +10,7 @@ from parkde.estimators import (
     SubsetSample,
     eval_product,
     fit_subset_kde,
+    kde_rows,
     normalize,
 )
 from parkde.kernels import from_name
@@ -84,6 +85,25 @@ class TestSubsetKde:
         p, pdd = kde.on_grid(g, (0, 2))
         np.testing.assert_array_equal(p, kde.on_grid(g)[0])
         np.testing.assert_array_equal(pdd, kde.on_grid(g, (2,))[0])
+
+    @pytest.mark.parametrize("order", ["ascending", "shuffled"])
+    def test_kde_rows_match_one_bandwidth_calls(self, order):
+        rng = np.random.default_rng(8)
+        g = Grid(-4, 4, 401)
+        # draws inside, beyond and on the edge of the grid, and half a spacing
+        # beyond the extension of the h = 0.3 row, which puts weight into its
+        # outermost bins
+        edge = (math.ceil(GAUSS.reach * 0.3 / g.spacing) + 0.5) * g.spacing
+        outside = [-9.0, -4.3, 4.0, 4.6, -4.0 - edge, 4.0 + edge]
+        sample = SubsetSample(np.concatenate([rng.normal(0, 1, 2000), outside]))
+        # 3 and 3.9 spacings and a reach beyond the grid fall back; the rest bin
+        hs = [0.06, 0.078, 0.08, 0.13, 0.3, 0.7, 1e9]
+        if order == "shuffled":
+            hs = [hs[i] for i in rng.permutation(len(hs))]
+        rows = kde_rows(sample, hs, GAUSS, g, (0, 2))
+        assert rows.shape == (len(hs), 2, g.n_points)
+        for h, row in zip(hs, rows):
+            np.testing.assert_array_equal(row, fit_subset_kde(sample, h, GAUSS).on_grid(g, (0, 2)))
 
     def test_on_grid_falls_back_to_the_exact_sum(self):
         values = np.random.default_rng(6).normal(0, 1, 500)

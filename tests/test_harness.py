@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -255,10 +256,110 @@ class TestRunExperiment:
             written_before_failure.append((out / "mise_vs_n.csv").exists())
             raise RuntimeError("forced failure")
 
-        monkeypatch.setattr(harness, "sweep_bandwidth", boom)
+        monkeypatch.setattr(harness, "_curve", boom)
         with pytest.raises(RuntimeError):
             run_experiment(cfg)
         assert written_before_failure == [True]
         assert not (out / "mise_vs_n.csv").exists()
         assert not (out / "ratio.csv").exists()
         assert not (out / "manifest.json").exists()
+
+    def test_one_executor_per_experiment(self, tmp_path, monkeypatch):
+        import parkde.harness as harness
+
+        starts = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        run_experiment(self.small_cfg(tmp_path, workers=2))
+        assert starts == [2]
+
+    @pytest.mark.parametrize("family", ["normal", "gamma"])
+    def test_csvs_equal_one_call_at_a_time(self, tmp_path, family):
+        cfg = self.small_cfg(tmp_path, family=family, grid_lo=None, grid_hi=None)
+        paths = run_experiment(cfg)
+        model, grid = cfg.model(), cfg.grid()
+        with open(paths["mise_vs_n"], newline="") as fh:
+            mise_rows = list(csv.DictReader(fh))
+        with open(paths["ratio"], newline="") as fh:
+            ratio_rows = list(csv.DictReader(fh))
+        for row in mise_rows:
+            n, h = int(row["n"]), float(row["h"])
+            est = estimate_mise(model, n, h, cfg.replications, cfg.seed, grid)
+            assert row["h"] == repr(closed_form_h(model, n, row["policy"] == "h_opt_baseline"))
+            assert (row["mise"], row["stderr"]) == (repr(est.mise), repr(est.stderr))
+            assert int(row["degenerate_count"]) == est.degenerate_count
+        for row in ratio_rows:
+            n = int(row["n"])
+            h_opt = closed_form_h(model, n)
+            hs = np.linspace(cfg.sweep_lo * h_opt, cfg.sweep_hi * h_opt, cfg.sweep_count)
+            argmins = [
+                sweep_bandwidth(model, n, hs, cfg.replications, cfg.seed, grid, outer=1 + r).argmin_h
+                for r in range(cfg.outer_repeats)
+            ]
+            ratios = [h_opt / a for a in argmins]
+            assert row["h_argmin"] == repr(float(np.median(argmins)))
+            assert row["ratio"] == repr(float(np.median(ratios)))
+
+    def test_manifest_lists_degenerate_replications(self, tmp_path, monkeypatch):
+        import parkde.harness as harness
+
+        real = harness._replication
+        chosen = {(0, 3), (0, 7), (2, 5)}  # (outer, rep)
+
+        def degenerate_some(job):
+            outer, rep = job[4], job[5]
+            if (outer, rep) in chosen:
+                return [None] * len(job[2])
+            return real(job)
+
+        monkeypatch.setattr(harness, "_replication", degenerate_some)
+        with pytest.warns(UserWarning):
+            paths = run_experiment(self.small_cfg(tmp_path))
+        with open(paths["manifest"]) as fh:
+            entries = json.load(fh)["degenerate"]
+        with open(paths["mise_vs_n"], newline="") as fh:
+            mise_rows = list(csv.DictReader(fh))
+        assert all(set(e) == {"n", "outer", "rep", "h"} for e in entries)
+        assert {(e["outer"], e["rep"]) for e in entries} == chosen
+        policy_entries = [e for e in entries if e["outer"] == 0]
+        assert len(policy_entries) == sum(int(r["degenerate_count"]) for r in mise_rows)
+        for r in mise_rows:
+            hits = [e for e in policy_entries if e["n"] == int(r["n"]) and repr(e["h"]) == r["h"]]
+            assert len(hits) == int(r["degenerate_count"]) == 2
+        # the outer-2 sweep: each of its 5 rows at both n
+        assert len([e for e in entries if e["outer"] == 2]) == 2 * 5
+
+    def test_rejects_fewer_than_one_worker(self, tmp_path):
+        with pytest.raises(ValueError):
+            self.small_cfg(tmp_path, workers=0)
+
+
+def test_pool_never_outnumbers_jobs(monkeypatch):
+    import parkde.harness as harness
+
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    g = Grid(-4, 4, 101)
+    serial = estimate_mise(NORMAL4, 50, 0.5, replications=3, seed=1, grid=g)
+    pooled = estimate_mise(NORMAL4, 50, 0.5, replications=3, seed=1, grid=g, workers=8)
+    assert seen == [3]
+    assert pooled == serial
