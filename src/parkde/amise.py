@@ -120,8 +120,6 @@ class AmiseCoefficients:
     beta: np.ndarray  # (M, M), stored unsymmetrized
     nu: np.ndarray  # (M,), positive
     M: int
-    kernel_roughness: float
-    k2: float
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float)
@@ -158,7 +156,7 @@ def _coefficients(
     U = Q @ Q.T
     scale = (c * kernel.k2 / 2.0) ** 2
     beta = scale * (np.outer(I, I) * (p @ p) + U - 2.0 * np.outer(I, T))
-    return AmiseCoefficients(beta, nu, len(P), kernel.roughness, kernel.k2)
+    return AmiseCoefficients(beta, nu, len(P))
 
 
 def _grid_tables(source, grid: Grid) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .amise import (
     AmiseCoefficients,
@@ -120,9 +119,9 @@ def h_opt_gamma(n: int, M: int, alpha: float, theta: float) -> float:
         + 2.0 * math.log(M * a1 - 1.0)
         + math.log(q - 3.0)
         + math.log(q - 1.0)
-        + gammaln(alpha)
-        + gammaln(q - alpha + 1.0)
-        - gammaln(q + 1.0)
+        + math.lgamma(alpha)
+        + math.lgamma(q - alpha + 1.0)
+        - math.lgamma(q + 1.0)
         - math.log(Q)
     )
     return math.exp(0.2 * log_h5)
@@ -148,18 +147,13 @@ class OptimizerOptions:
     fixed; values above 1 refit it from the KDEs at each new iterate until
     two successive iterates lie within tol. Each fit is followed by up to
     descent_steps_per_iter gradient steps, which stop early once an accepted
-    step is shorter than tol. tol and h_floor default to 1e-4 * ||h0|| and
-    1e-3 * max(h0) / M, derived from the initialization when left as None.
+    step is shorter than tol. tol defaults to 1e-4 * ||h0||, derived from the
+    initialization when left as None.
     """
 
     max_outer_iters: int = 1
     descent_steps_per_iter: int = 400
-    step_rule: str = "backtracking"  # "backtracking" | "fixed"
-    init_step: float | None = None
     tol: float | None = None
-    h_floor: float | None = None
-    armijo: float = 1e-4
-    shrink: float = 0.5
 
 
 @dataclass
@@ -197,20 +191,16 @@ def _descent(
         gnorm = float(np.linalg.norm(g))
         if gnorm == 0.0:
             return h, True
-        t = opts.init_step if opts.init_step else 0.1 * float(np.linalg.norm(h)) / gnorm
-        if opts.step_rule == "fixed":
+        t = 0.1 * float(np.linalg.norm(h)) / gnorm
+        for _ in range(60):
             cand = np.maximum(h - t * g, h_floor)
-            f = amise_hat(coeffs, cand)
+            fc = amise_hat(coeffs, cand)
+            if fc <= f - 1e-4 * float(g @ (h - cand)):
+                f = fc
+                break
+            t *= 0.5
         else:
-            for _ in range(60):
-                cand = np.maximum(h - t * g, h_floor)
-                fc = amise_hat(coeffs, cand)
-                if fc <= f - opts.armijo * float(g @ (h - cand)):
-                    f = fc
-                    break
-                t *= opts.shrink
-            else:
-                return h, False
+            return h, False
         step = float(np.linalg.norm(cand - h))
         h = cand
         if step < tol:
@@ -247,9 +237,7 @@ def optimize_bandwidth(
 
     h0 = normal_reference_h(subsets)
     tol = opts.tol if opts.tol is not None else 1e-4 * float(np.linalg.norm(h0))
-    h_floor = (
-        opts.h_floor if opts.h_floor is not None else 1e-3 * float(h0.max()) / M
-    )
+    h_floor = 1e-3 * float(h0.max()) / M
     if grid is None:
         grid = default_grid(np.concatenate([s.values for s in subsets]), h0)
 

@@ -332,7 +332,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (DegenerateProduct, DegenerateMajority, GammaDomain, ConvergenceError) as exc:
+    except (
+        DegenerateProduct, DegenerateMajority, GammaDomain, ConvergenceError, ArithmeticError
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -7,10 +7,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .kernels import Kernel
-from .quadrature import Grid, integrate_values
+from .quadrature import Grid, simpson_weights
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -26,10 +25,11 @@ GAMMA_FAMILY = "gamma"
 
 
 class DegenerateProduct(RuntimeError):
-    """The product of subset KDEs carries (numerically) no mass.
+    """The product of subset KDEs has no usable mass.
 
     Happens when the high-mass regions of the subset estimators have almost
-    no common intersection, so the normalization constant underflows.
+    no common intersection, so the normalization constant underflows, or
+    when the product of many peaked estimators overflows.
     """
 
 
@@ -198,7 +198,11 @@ class ProductPosterior:
     ) -> "ProductPosterior":
         """Normalize the components' product values on grid; the one place
         the mass is integrated and checked."""
-        lam = integrate_values(vals, grid.spacing)
+        lam = vals @ simpson_weights(grid.n_points, grid.spacing)
+        if not math.isfinite(lam):
+            raise DegenerateProduct(
+                f"product mass is {lam}; the product of the subset densities overflowed"
+            )
         if lam <= DEGENERATE_LAMBDA:
             raise DegenerateProduct(
                 f"product mass {lam!r} underflowed; subset supports nearly disjoint"
@@ -305,9 +309,9 @@ class AnalyticModel:
             )
         a1 = self.alpha - 1.0
         log_lam = (
-            gammaln(self.M * a1 + 1.0)
+            math.lgamma(self.M * a1 + 1.0)
             + (self.M * a1 + 1.0) * math.log(self.theta / self.M)
-            - self.M * gammaln(self.alpha)
+            - self.M * math.lgamma(self.alpha)
             - self.alpha * self.M * math.log(self.theta)
         )
         return math.exp(log_lam)
@@ -344,7 +348,7 @@ def _gamma_pdf(x, alpha: float, theta: float, deriv: int):
     if np.any(x < 0):
         raise ValueError("gamma density is only defined for x >= 0")
     a1 = alpha - 1.0
-    norm = math.exp(-gammaln(alpha) - alpha * math.log(theta))
+    norm = math.exp(-math.lgamma(alpha) - alpha * math.log(theta))
     e = np.exp(-x / theta)
     if deriv == 0:
         out = norm * x**a1 * e

@@ -261,7 +261,7 @@ def test_11_surrogate_gradient_oracle():
         beta = rng.normal(0.0, 1.0, (M, M))
         nu = rng.uniform(0.5, 2.0, M)
         h = rng.uniform(0.5, 2.0, M)
-        co = AmiseCoefficients(beta, nu, M, GAUSS.roughness, GAUSS.k2)
+        co = AmiseCoefficients(beta, nu, M)
         g = amise_hat_grad(co, h)
         fd = gradient_fd(lambda v: amise_hat(co, v), h, 1e-6)
         scale = np.maximum(np.abs(fd), 1.0)

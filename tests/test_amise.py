@@ -219,7 +219,7 @@ class TestSurrogate:
     def coeffs(self, beta, nu):
         beta = np.atleast_2d(np.asarray(beta, dtype=float))
         nu = np.atleast_1d(np.asarray(nu, dtype=float))
-        return AmiseCoefficients(beta, nu, nu.size, GAUSS.roughness, 1.0)
+        return AmiseCoefficients(beta, nu, nu.size)
 
     def test_scalar_example(self):
         assert amise_hat(self.coeffs(1.0, 4.0), [1.0]) == pytest.approx(5.0)
@@ -245,7 +245,7 @@ class TestSurrogate:
             beta = rng.normal(0, 1, (M, M))
             nu = rng.uniform(0.5, 2.0, M)
             h = rng.uniform(0.5, 2.0, M)
-            co = AmiseCoefficients(beta, nu, M, GAUSS.roughness, 1.0)
+            co = AmiseCoefficients(beta, nu, M)
             g = amise_hat_grad(co, h)
             fd = gradient_fd(lambda v: amise_hat(co, v), h, 1e-6)
             np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-5)
@@ -256,12 +256,12 @@ class TestSurrogate:
         beta = rng.normal(0, 1, (M, M))
         nu = rng.uniform(0.5, 2.0, M)
         h = rng.uniform(0.5, 1.5, M)
-        only_nu = AmiseCoefficients(np.zeros((M, M)), nu, M, GAUSS.roughness, 1.0)
+        only_nu = AmiseCoefficients(np.zeros((M, M)), nu, M)
         assert amise_hat(only_nu, 2.0 * h) == pytest.approx(
             amise_hat(only_nu, h) / 2.0, rel=1e-12
         )
         tiny = np.full(M, 1e-12)
-        only_beta = AmiseCoefficients(beta, nu, M, GAUSS.roughness, 1.0)
+        only_beta = AmiseCoefficients(beta, nu, M)
         quartic = amise_hat(only_beta, 2.0 * h) - amise_hat(only_nu, 2.0 * h)
         base = amise_hat(only_beta, h) - amise_hat(only_nu, h)
         assert quartic == pytest.approx(16.0 * base, rel=1e-9)
@@ -271,8 +271,8 @@ class TestSurrogate:
         beta = rng.normal(0, 1, (4, 4))
         nu = rng.uniform(0.5, 2.0, 4)
         h = rng.uniform(0.5, 1.5, 4)
-        a = AmiseCoefficients(beta, nu, 4, GAUSS.roughness, 1.0)
-        b = AmiseCoefficients((beta + beta.T) / 2.0, nu, 4, GAUSS.roughness, 1.0)
+        a = AmiseCoefficients(beta, nu, 4)
+        b = AmiseCoefficients((beta + beta.T) / 2.0, nu, 4)
         assert amise_hat(a, h) == pytest.approx(amise_hat(b, h), rel=1e-12)
 
     def test_rejects_nonpositive_bandwidths(self):
@@ -284,11 +284,11 @@ class TestSurrogate:
 
     def test_coefficient_validation(self):
         with pytest.raises(ValueError):
-            AmiseCoefficients(np.eye(2), np.array([1.0, -1.0]), 2, 0.28, 1.0)
+            AmiseCoefficients(np.eye(2), np.array([1.0, -1.0]), 2)
         with pytest.raises(ValueError):
-            AmiseCoefficients(np.eye(3), np.array([1.0, 1.0]), 2, 0.28, 1.0)
+            AmiseCoefficients(np.eye(3), np.array([1.0, 1.0]), 2)
         with pytest.raises(ValueError):
-            AmiseCoefficients(np.full((1, 1), np.nan), np.array([1.0]), 1, 0.28, 1.0)
+            AmiseCoefficients(np.full((1, 1), np.nan), np.array([1.0]), 1)
 
 
 def test_dump_coefficients_roundtrip(tmp_path):

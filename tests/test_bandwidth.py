@@ -245,7 +245,7 @@ class TestOptimizeBandwidth:
         beta = rng.normal(0, 1, (M, M))
         beta = beta @ beta.T  # make the quartic part positive semidefinite
         nu = rng.uniform(0.5, 2.0, M)
-        co = AmiseCoefficients(beta, nu, M, GAUSS.roughness, 1.0)
+        co = AmiseCoefficients(beta, nu, M)
         h0 = rng.uniform(0.5, 1.5, M)
         opts = OptimizerOptions()
         h1, _ = _descent(co, h0, opts, h_floor=1e-6)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from parkde.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from parkde.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 
 
 @pytest.fixture
@@ -94,6 +94,21 @@ class TestFit:
             "--out", str(tmp_path / "o.csv"),
         ])
         assert code == EXIT_CONFIG
+
+    def test_overflowing_product_is_numerical_failure(self, tmp_path, capsys):
+        # valid input: 128 tight subsets whose KDE peaks multiply past 1e308
+        rng = np.random.default_rng(7)
+        d = tmp_path / "tight"
+        d.mkdir()
+        for m in range(128):
+            values = rng.normal(0.0, 1e-3, 200)
+            (d / f"subset_{m:03d}.txt").write_text("\n".join(repr(float(v)) for v in values))
+        out = tmp_path / "o.csv"
+        with np.errstate(over="ignore"):
+            code = main(["fit", "--subsets", str(d), "--bandwidth", "auto", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert "overflowed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOptimize:
@@ -190,6 +205,15 @@ class TestMiseSweep:
             "--grid-hi", "4", "--out", str(tmp_path / "s.csv"),
         ])
         assert code == EXIT_CONFIG
+
+    def test_closed_form_overflow_is_numerical_failure(self, tmp_path, capsys):
+        code = main([
+            "mise-sweep", "--family", "gamma", "--alpha", "1e300", "--theta", "1",
+            "-M", "4", "--n", "200", "--replications", "4", "--seed", "1",
+            "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_removed_policy_flags_rejected(self, capsys):
         for flag in (["--h-policy", "fixed"], ["--h-fixed", "0.3"]):

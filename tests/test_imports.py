@@ -1,4 +1,4 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and the package needs only numpy.
 
 No linter ships with the project, so this parses the package modules and
 the test files and compares the names each one imports with the names it
@@ -6,6 +6,9 @@ reads. The package's __init__.py is skipped: its imports are re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,18 @@ def test_scan_flags_only_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_imports_no_scipy():
+    # scipy.special alone roughly doubled the start-up time of every command
+    probe = (
+        "import sys, parkde, parkde.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.stdout.strip() == "[]"
+    assert "scipy" not in (ROOT / "pyproject.toml").read_text()
