@@ -172,7 +172,11 @@ def _grid_tables(source, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 def _source_coefficients(
     source, N, grid: Grid, kernel: Kernel | None = None
 ) -> AmiseCoefficients:
-    """Coefficients for true densities: a model or density callables on grid."""
+    """Coefficients for a model, density callables or subset KDEs on grid.
+
+    Each component is evaluated on the grid once, for its values and
+    curvatures together, and the posterior is formed from the same values.
+    """
     P, Pdd = _grid_tables(source, grid)
     post = ProductPosterior.from_product(_providers(source), grid, np.prod(P, axis=0))
     return _coefficients(P, Pdd, N, post, kernel or from_name("gaussian"))
@@ -205,18 +209,25 @@ def _check_h(coeffs: AmiseCoefficients, h) -> np.ndarray:
     return h
 
 
+def _surrogate(beta: np.ndarray, nu: np.ndarray, h: np.ndarray) -> float:
+    """The surrogate's one formula, for an h already checked."""
+    h2 = h * h
+    return float(h2 @ beta @ h2 + np.add.reduce(nu / h))
+
+
+def _surrogate_grad(sym: np.ndarray, nu: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Gradient of `_surrogate` from sym = beta + beta.T, for an h already checked."""
+    h2 = h * h
+    return 2.0 * h * (sym @ h2) - nu / h**2
+
+
 def amise_hat(coeffs: AmiseCoefficients, h) -> float:
     """Surrogate objective sum_ij h_i^2 h_j^2 beta_ij + sum_i nu_i / h_i."""
-    h = _check_h(coeffs, h)
-    h2 = h * h
-    return float(h2 @ coeffs.beta @ h2 + (coeffs.nu / h).sum())
+    return _surrogate(coeffs.beta, coeffs.nu, _check_h(coeffs, h))
 
 
 def amise_hat_grad(coeffs: AmiseCoefficients, h) -> np.ndarray:
-    h = _check_h(coeffs, h)
-    h2 = h * h
-    sym = coeffs.beta + coeffs.beta.T
-    return 2.0 * h * (sym @ h2) - coeffs.nu / h**2
+    return _surrogate_grad(coeffs.beta + coeffs.beta.T, coeffs.nu, _check_h(coeffs, h))
 
 
 def dump_coefficients(

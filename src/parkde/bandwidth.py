@@ -10,12 +10,12 @@ import numpy as np
 
 from .amise import (
     AmiseCoefficients,
+    _check_h,
     _source_coefficients,
-    amise_hat,
-    amise_hat_grad,
-    empirical_coefficients,
+    _surrogate,
+    _surrogate_grad,
 )
-from .estimators import AnalyticModel, SubsetSample, fit_subset_kde, normalize
+from .estimators import AnalyticModel, SubsetSample, fit_subset_kde
 from .kernels import Kernel, from_name
 from .quadrature import Grid, default_grid
 
@@ -82,7 +82,8 @@ def h_opt_gamma(n: int, M: int, alpha: float, theta: float) -> float:
 
     Exact closed form for the symmetric-case minimizer with p1 = Gamma(alpha,
     scale theta); evaluated via log-gamma so moderate M and alpha do not
-    overflow. Valid for alpha > 1 + 3 / (2M).
+    overflow. Valid for alpha > 1 + 3 / (2M); raises GammaDomain where the
+    closed form's terms overflow a float (alpha above about 1.3e154).
     """
     if n < 1 or M < 1:
         raise ValueError("n and M must be >= 1")
@@ -90,40 +91,47 @@ def h_opt_gamma(n: int, M: int, alpha: float, theta: float) -> float:
         raise GammaDomain("theta must be positive")
     a1 = alpha - 1.0
     q = 2.0 * M * a1
-    # denominator polynomial of the bias constant A(M)
-    Q = (
-        8.0 * M**3 * alpha
-        - 8.0 * M**3
-        + 3.0 * M**2 * alpha**2
-        - 28.0 * M**2 * alpha
-        + 16.0 * M**2
-        + 8.0 * M * alpha
-        + 16.0 * M
-        - 12.0
-    )
     if a1 <= 0 or q - 3.0 <= 0 or q - alpha + 1.0 <= 0:
         raise GammaDomain(
             f"gamma closed form needs alpha > 1 + 3/(2M); got alpha={alpha}, M={M}"
         )
-    if M * a1 - 1.0 <= 0 or Q <= 0:
-        raise GammaDomain(
-            f"bias constant not positive for alpha={alpha}, M={M}"
+    try:
+        # denominator polynomial of the bias constant A(M)
+        Q = (
+            8.0 * M**3 * alpha
+            - 8.0 * M**3
+            + 3.0 * M**2 * alpha**2
+            - 28.0 * M**2 * alpha
+            + 16.0 * M**2
+            + 8.0 * M * alpha
+            + 16.0 * M
+            - 12.0
         )
-    log_h5 = (
-        5.0 * math.log(theta)
-        - 0.5 * math.log(math.pi)
-        - math.log(n)
-        + M * a1 * math.log(4.0 * M**2)
-        - (2.0 * M - 1.0) * a1 * math.log(2.0 * M - 1.0)
-        + math.log(a1)
-        + 2.0 * math.log(M * a1 - 1.0)
-        + math.log(q - 3.0)
-        + math.log(q - 1.0)
-        + math.lgamma(alpha)
-        + math.lgamma(q - alpha + 1.0)
-        - math.lgamma(q + 1.0)
-        - math.log(Q)
-    )
+        if M * a1 - 1.0 <= 0 or Q <= 0:
+            raise GammaDomain(
+                f"bias constant not positive for alpha={alpha}, M={M}"
+            )
+        log_h5 = (
+            5.0 * math.log(theta)
+            - 0.5 * math.log(math.pi)
+            - math.log(n)
+            + M * a1 * math.log(4.0 * M**2)
+            - (2.0 * M - 1.0) * a1 * math.log(2.0 * M - 1.0)
+            + math.log(a1)
+            + 2.0 * math.log(M * a1 - 1.0)
+            + math.log(q - 3.0)
+            + math.log(q - 1.0)
+            + math.lgamma(alpha)
+            + math.lgamma(q - alpha + 1.0)
+            - math.lgamma(q + 1.0)
+            - math.log(Q)
+        )
+    except OverflowError:  # alpha**2 or lgamma past the float range
+        log_h5 = math.inf
+    if not math.isfinite(log_h5):
+        raise GammaDomain(
+            f"gamma closed form h_opt_gamma overflows a float for alpha={alpha}, M={M}"
+        )
     return math.exp(0.2 * log_h5)
 
 
@@ -145,31 +153,51 @@ class OptimizerOptions:
     max_outer_iters counts surrogate fits. The default of 1 fits the plug-in
     surrogate once, at the normal-reference start, and keeps that pilot fit
     fixed; values above 1 refit it from the KDEs at each new iterate until
-    two successive iterates lie within tol. Each fit is followed by up to
-    descent_steps_per_iter gradient steps, which stop early once an accepted
-    step is shorter than tol. tol defaults to 1e-4 * ||h0||, derived from the
-    initialization when left as None.
+    two successive iterates lie within tol, and 0 returns the start. Each fit
+    is followed by up to descent_steps_per_iter gradient steps, which stop
+    early once an accepted step is shorter than tol. tol defaults to
+    1e-4 * ||h0||, derived from the initialization when left as None.
     """
 
     max_outer_iters: int = 1
     descent_steps_per_iter: int = 400
     tol: float | None = None
 
+    def __post_init__(self):
+        if self.max_outer_iters < 0 or self.descent_steps_per_iter < 0:
+            raise ValueError(
+                "max_outer_iters and descent_steps_per_iter must be >= 0, got "
+                f"{self.max_outer_iters} and {self.descent_steps_per_iter}"
+            )
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+
+
+# stop reasons of a descent that ends at a stationary point of its surrogate
+_CONVERGED = ("step<tol", "zero-gradient")
+
 
 @dataclass
 class OptimizeResult:
     """Outcome of `optimize_bandwidth`.
 
-    converged is True when the last descent stopped on an accepted step
-    shorter than tol, so h is a stationary point of the last fitted
-    surrogate. trace holds one (iteration, h, amise_hat) row per fit.
+    converged is True when the last descent stopped at a stationary point of
+    the last fitted surrogate: on an accepted step shorter than tol, or on a
+    zero gradient. trace holds one row per fit: (iteration, h, amise_hat,
+    grad_norm, step, backtracks, stop). grad_norm is the norm of the last
+    gradient taken (nan if none was), step the length of the last accepted
+    step (0.0 if none was), backtracks the number of step halvings over the
+    whole descent, and stop why it ended: "step<tol", "zero-gradient",
+    "step-cap" (descent_steps_per_iter steps taken) or "line-search-failed".
     """
 
     h: np.ndarray
     converged: bool
     iterations: int
     objective: float | None
-    trace: list[tuple[int, np.ndarray, float]] = field(default_factory=list)
+    trace: list[tuple[int, np.ndarray, float, float, float, int, str]] = field(
+        default_factory=list
+    )
 
 
 def _descent(
@@ -178,34 +206,45 @@ def _descent(
     opts: OptimizerOptions,
     h_floor: float,
     tol: float = 0.0,
-) -> tuple[np.ndarray, bool]:
+) -> tuple[np.ndarray, float, tuple[float, float, int, str]]:
     """Projected gradient steps on the surrogate, monotone by backtracking.
 
-    Returns the last iterate and whether the descent stopped on an accepted
-    step shorter than tol.
+    Returns the last iterate, its surrogate value and the descent's record
+    (grad_norm, step, backtracks, stop) as described on `OptimizeResult`.
+    Every iterate is at least h_floor > 0, so h is checked once and the
+    surrogate's unchecked formulas run in the loop.
     """
-    h = h.copy()
-    f = amise_hat(coeffs, h)
+    h = _check_h(coeffs, h).copy()
+    beta, nu = coeffs.beta, coeffs.nu
+    sym = beta + beta.T
+    f = _surrogate(beta, nu, h)
+    gnorm, step, backtracks, stop = math.nan, 0.0, 0, "step-cap"
     for _ in range(opts.descent_steps_per_iter):
-        g = amise_hat_grad(coeffs, h)
+        g = _surrogate_grad(sym, nu, h)
         gnorm = float(np.linalg.norm(g))
         if gnorm == 0.0:
-            return h, True
+            stop = "zero-gradient"
+            break
         t = 0.1 * float(np.linalg.norm(h)) / gnorm
-        for _ in range(60):
+        for halvings in range(60):
             cand = np.maximum(h - t * g, h_floor)
-            fc = amise_hat(coeffs, cand)
-            if fc <= f - 1e-4 * float(g @ (h - cand)):
-                f = fc
+            fc = _surrogate(beta, nu, cand)
+            d = h - cand
+            if fc <= f - 1e-4 * float(g @ d):
                 break
             t *= 0.5
         else:
-            return h, False
-        step = float(np.linalg.norm(cand - h))
+            backtracks += 60
+            stop = "line-search-failed"
+            break
+        backtracks += halvings
+        f = fc
+        step = float(np.linalg.norm(d))
         h = cand
         if step < tol:
-            return h, True
-    return h, False
+            stop = "step<tol"
+            break
+    return h, f, (gnorm, step, backtracks, stop)
 
 
 def optimize_bandwidth(
@@ -224,7 +263,9 @@ def optimize_bandwidth(
     Refitting at the current iterate (max_outer_iters > 1) estimates the
     curvature functionals at the bandwidth being optimized; for M=4
     subsets of n=2000 that feedback settles on asymmetric points about a
-    third away from the closed-form optimum.
+    third away from the closed-form optimum. Each fit evaluates every KDE
+    on the grid once, for its values and curvatures together, and forms the
+    posterior from the same values.
     """
     kernel = kernel or from_name("gaussian")
     if not kernel.smooth:
@@ -241,20 +282,19 @@ def optimize_bandwidth(
     if grid is None:
         grid = default_grid(np.concatenate([s.values for s in subsets]), h0)
 
+    N = [s.size for s in subsets]
     h = h0.copy()
-    trace: list[tuple[int, np.ndarray, float]] = []
-    converged = False
+    trace: list[tuple[int, np.ndarray, float, float, float, int, str]] = []
     obj = None
     it = 0
     for it in range(1, opts.max_outer_iters + 1):
         kdes = [fit_subset_kde(s, hv, kernel) for s, hv in zip(subsets, h)]
-        post = normalize(kdes, grid)
-        coeffs = empirical_coefficients(post, grid)
-        h_next, converged = _descent(coeffs, h, opts, h_floor, tol)
-        obj = amise_hat(coeffs, h_next)
-        trace.append((it, h_next.copy(), obj))
+        coeffs = _source_coefficients(kdes, N, grid, kernel)
+        h_next, obj, record = _descent(coeffs, h, opts, h_floor, tol)
+        trace.append((it, h_next.copy(), obj, *record))
         moved = float(np.linalg.norm(h - h_next))
         h = h_next
         if moved < tol:
             break
+    converged = bool(trace) and trace[-1][-1] in _CONVERGED
     return OptimizeResult(h=h, converged=converged, iterations=it, objective=obj, trace=trace)

@@ -152,9 +152,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--subsets", required=True)
     p_opt.add_argument("--kernel", default="gaussian", choices=["gaussian", "epanechnikov"])
     p_opt.add_argument("--max-iters", type=int, default=OptimizerOptions.max_outer_iters,
-                       help="surrogate fits: 1 keeps the pilot fit, more refit at each iterate")
+                       help="surrogate fits: 1 keeps the pilot fit, more refit at each iterate, "
+                       "0 prints the normal-reference start")
     p_opt.add_argument("--tol", type=float, default=None)
-    p_opt.add_argument("--out", help="per-iteration trace CSV (iter,h_1..h_M,amise_hat)")
+    p_opt.add_argument("--out", help="per-fit trace CSV (iter,h_1..h_M,amise_hat,grad_norm,"
+                       "step,backtracks,stop)")
     p_opt.add_argument("--grid-lo", type=float)
     p_opt.add_argument("--grid-hi", type=float)
     # default_grid's own size, so the CLI and library defaults agree
@@ -224,16 +226,22 @@ def _cmd_optimize(args) -> int:
             with open(args.out, "w", newline="") as fh:
                 w = csv.writer(fh)
                 M = len(subsets)
-                w.writerow(["iter"] + [f"h_{i + 1}" for i in range(M)] + ["amise_hat"])
-                for it, h, obj in res.trace:
-                    w.writerow([it] + [repr(float(v)) for v in h] + [repr(obj)])
+                w.writerow(
+                    ["iter"] + [f"h_{i + 1}" for i in range(M)]
+                    + ["amise_hat", "grad_norm", "step", "backtracks", "stop"]
+                )
+                for it, h, obj, gnorm, step, backtracks, stop in res.trace:
+                    w.writerow(
+                        [it] + [repr(float(v)) for v in h]
+                        + [repr(obj), repr(gnorm), repr(step), backtracks, stop]
+                    )
         except OSError as exc:
             raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO)
     print("h = " + ", ".join(f"{v:.6g}" for v in res.h))
-    print(
-        f"converged = {res.converged}; iterations = {res.iterations}; "
-        f"amise_hat = {res.objective:.6g}"
-    )
+    status = f"converged = {res.converged}; iterations = {res.iterations}"
+    if res.objective is not None:  # None after zero fits
+        status += f"; amise_hat = {res.objective:.6g}"
+    print(status)
     return EXIT_OK
 
 
@@ -245,10 +253,7 @@ def _cmd_mise_sweep(args) -> int:
     if len(cfg.n_per_subset) != 1:
         raise CliError("mise-sweep wants exactly one sample size in n_per_subset", EXIT_CONFIG)
     n = cfg.n_per_subset[0]
-    try:
-        h_opt = closed_form_h(model, n)
-    except GammaDomain as exc:
-        raise CliError(str(exc), EXIT_NUMERICAL)
+    h_opt = closed_form_h(model, n)
     hs = np.linspace(cfg.sweep_lo * h_opt, cfg.sweep_hi * h_opt, cfg.sweep_count)
     curve = sweep_bandwidth(
         model, n, hs, cfg.replications, cfg.seed, grid, workers=cfg.workers

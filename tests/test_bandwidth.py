@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from parkde.amise import amise_bar, amise_hat, empirical_coefficients
+import parkde.estimators as estimators
+from parkde.amise import amise_bar, amise_hat, amise_hat_grad, empirical_coefficients
 from parkde.bandwidth import (
     GammaDomain,
     OptimizerOptions,
@@ -12,6 +14,7 @@ from parkde.bandwidth import (
     h_opt_gamma,
     h_opt_normal,
     h_opt_symmetric,
+    normal_reference_h,
     optimize_bandwidth,
     parzen_h_m1,
 )
@@ -167,6 +170,15 @@ def test_h_opt_gamma_domain_errors():
         h_opt_gamma(1000, 2, 3.0, -1.0)
 
 
+@pytest.mark.parametrize("alpha", [1.3e154, 1e200, 1e300, 1e306])
+def test_h_opt_gamma_names_float_overflow(alpha):
+    # alpha**2 in the bias constant overflows above about 1.3e154, and
+    # lgamma above about 2.5e305
+    with pytest.raises(GammaDomain, match=re.escape(f"overflows a float for alpha={alpha!r}, M=4")):
+        h_opt_gamma(200, 4, alpha, 1.0)
+    assert math.isfinite(h_opt_gamma(200, 4, 1e150, 1.0))
+
+
 @pytest.mark.parametrize("M", [2, 4])
 def test_h_opt_gamma_against_error_functional_argmin(M):
     # independent route: minimize the normalized-estimator error functional
@@ -181,6 +193,51 @@ def test_h_opt_gamma_against_error_functional_argmin(M):
     closed = h_opt_gamma(n, M, 3.0, 3.0)
     numeric, _ = argmin_scalar(objective, 0.2, 4.0, tol=1e-7)
     assert closed == pytest.approx(numeric, rel=1e-3)
+
+
+def reference_optimize(subsets, grid, max_outer_iters):
+    """The plug-in fit and descent through public names only: each fit
+    normalizes the KDEs, then takes `empirical_coefficients`, and every
+    trial point goes through the validating `amise_hat`/`amise_hat_grad`.
+    Returns (h, converged, iterations, objective, [(iteration, h, objective)])."""
+    M = len(subsets)
+    h0 = normal_reference_h(subsets)
+    tol = 1e-4 * float(np.linalg.norm(h0))
+    h_floor = 1e-3 * float(h0.max()) / M
+    h, trace, converged, obj = h0.copy(), [], False, None
+    for it in range(1, max_outer_iters + 1):
+        kdes = [fit_subset_kde(s, hv, GAUSS) for s, hv in zip(subsets, h)]
+        coeffs = empirical_coefficients(normalize(kdes, grid), grid)
+        x, converged = h.copy(), False
+        f = amise_hat(coeffs, x)
+        for _ in range(400):
+            g = amise_hat_grad(coeffs, x)
+            gnorm = float(np.linalg.norm(g))
+            if gnorm == 0.0:
+                converged = True
+                break
+            t = 0.1 * float(np.linalg.norm(x)) / gnorm
+            for _ in range(60):
+                cand = np.maximum(x - t * g, h_floor)
+                fc = amise_hat(coeffs, cand)
+                if fc <= f - 1e-4 * float(g @ (x - cand)):
+                    f = fc
+                    break
+                t *= 0.5
+            else:
+                break
+            step = float(np.linalg.norm(cand - x))
+            x = cand
+            if step < tol:
+                converged = True
+                break
+        obj = amise_hat(coeffs, x)
+        trace.append((it, x.copy(), obj))
+        moved = float(np.linalg.norm(h - x))
+        h = x
+        if moved < tol:
+            break
+    return h, converged, len(trace), obj, trace
 
 
 class TestOptimizeBandwidth:
@@ -233,7 +290,7 @@ class TestOptimizeBandwidth:
         iters = [t[0] for t in res.trace]
         assert iters == sorted(iters)
         assert res.iterations == len(res.trace)
-        for _, h, obj in res.trace:
+        for _, h, obj, *_ in res.trace:
             assert (h > 0).all() and np.isfinite(obj)
 
     def test_inner_descent_monotone_on_frozen_surrogate(self):
@@ -248,8 +305,96 @@ class TestOptimizeBandwidth:
         co = AmiseCoefficients(beta, nu, M)
         h0 = rng.uniform(0.5, 1.5, M)
         opts = OptimizerOptions()
-        h1, _ = _descent(co, h0, opts, h_floor=1e-6)
+        h1, *_ = _descent(co, h0, opts, h_floor=1e-6)
         assert amise_hat(co, h1) <= amise_hat(co, h0) + 1e-15
+
+    @pytest.mark.parametrize("max_outer_iters", [1, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_public_fit_and_descent_loop(self, seed, max_outer_iters):
+        # one grid evaluation per KDE and the unchecked surrogate in the
+        # descent change no bit of the result
+        subs = self.normal_subsets(4, 250, seed)
+        grid = Grid(-4, 4, 201)
+        opts = OptimizerOptions(max_outer_iters=max_outer_iters)
+        res = optimize_bandwidth(subs, opts=opts, grid=grid)
+        h, converged, iterations, obj, trace = reference_optimize(subs, grid, max_outer_iters)
+        np.testing.assert_array_equal(res.h, h)
+        assert (res.converged, res.iterations, res.objective) == (converged, iterations, obj)
+        assert len(res.trace) == len(trace)
+        for row, (it, h_it, obj_it) in zip(res.trace, trace):
+            assert row[0] == it and row[2] == obj_it
+            np.testing.assert_array_equal(row[1], h_it)
+
+    def test_each_fit_evaluates_every_kde_once(self, monkeypatch):
+        calls = []
+        real = estimators.kde_rows
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "kde_rows", counting)
+        subs = self.normal_subsets(3, 200, 1)
+        grid = Grid(-4, 4, 401)
+        res = optimize_bandwidth(subs, opts=OptimizerOptions(max_outer_iters=4), grid=grid)
+        assert res.iterations > 1
+        assert len(calls) == 3 * res.iterations
+        assert all(g == grid for g in calls)
+
+    def test_trace_records_why_each_descent_stopped(self):
+        subs = self.normal_subsets(3, 200, 1)
+        opts = OptimizerOptions(max_outer_iters=4)
+        res = optimize_bandwidth(subs, opts=opts, grid=Grid(-4, 4, 401))
+        tol = 1e-4 * float(np.linalg.norm(normal_reference_h(subs)))
+        for _, _, _, gnorm, step, backtracks, stop in res.trace:
+            assert stop == "step<tol" and 0.0 < step < tol
+            assert math.isfinite(gnorm) and gnorm > 0.0
+            assert isinstance(backtracks, int) and backtracks >= 0
+        assert res.converged
+
+    def test_descent_stop_reasons(self):
+        from parkde.amise import AmiseCoefficients
+        from parkde.bandwidth import _descent
+
+        # 4 b h^3 - nu / h^2 vanishes at h = 1 for b = 1/4, nu = 1
+        flat = AmiseCoefficients(np.array([[0.25]]), np.array([1.0]), 1)
+        h, f, record = _descent(flat, np.array([1.0]), OptimizerOptions(), 1e-6)
+        assert (h[0], f, record) == (1.0, 1.25, (0.0, 0.0, 0, "zero-gradient"))
+
+        rng = np.random.default_rng(8)
+        beta = rng.normal(0, 1, (3, 3))
+        co = AmiseCoefficients(beta @ beta.T, rng.uniform(0.5, 2.0, 3), 3)
+        h0 = rng.uniform(0.5, 1.5, 3)
+        h, f, (gnorm, step, backtracks, stop) = _descent(
+            co, h0, OptimizerOptions(descent_steps_per_iter=2), 1e-6
+        )
+        assert stop == "step-cap" and step > 0.0 and gnorm > 0.0
+        assert f == amise_hat(co, h) < amise_hat(co, h0)
+        _, _, record = _descent(co, h0, OptimizerOptions(descent_steps_per_iter=0), 1e-6)
+        assert math.isnan(record[0]) and record[1:] == (0.0, 0, "step-cap")
+        _, _, record = _descent(co, h0, OptimizerOptions(), 1e-6, tol=1e-3)
+        assert record[3] == "step<tol" and record[1] < 1e-3
+
+        # the gradient overflows at h = 1e110, so every trial point is nan
+        with np.errstate(all="ignore"):
+            h, f, record = _descent(co, np.full(3, 1e110), OptimizerOptions(), 1e-6)
+        assert record[2:] == (60, "line-search-failed") and f == math.inf
+        np.testing.assert_array_equal(h, np.full(3, 1e110))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_outer_iters": -1},
+            {"descent_steps_per_iter": -1},
+            {"tol": 0.0},
+            {"tol": -1.0},
+            {"tol": math.nan},
+            {"tol": math.inf},
+        ],
+    )
+    def test_options_reject_invalid_values(self, kwargs):
+        with pytest.raises(ValueError):
+            OptimizerOptions(**kwargs)
 
     def test_requires_smooth_kernel(self):
         subs = self.normal_subsets(2, 100, 2)

@@ -121,10 +121,14 @@ class TestOptimize:
         ])
         assert code == EXIT_OK
         rows = read_rows(out)
-        assert rows[0] == ["iter", "h_1", "h_2", "amise_hat"]
+        assert rows[0] == [
+            "iter", "h_1", "h_2", "amise_hat", "grad_norm", "step", "backtracks", "stop"
+        ]
         assert len(rows) >= 2
         for r in rows[1:]:
             assert float(r[1]) > 0 and float(r[2]) > 0
+            assert float(r[4]) > 0 and float(r[5]) >= 0 and int(r[6]) >= 0
+            assert r[7] in ("step<tol", "zero-gradient", "step-cap", "line-search-failed")
         captured = capsys.readouterr()
         assert "h = " in captured.out
 
@@ -143,6 +147,34 @@ class TestOptimize:
         rows = read_rows(out)
         assert len(rows) == 1 + len(res.trace)
         np.testing.assert_array_equal([float(v) for v in rows[-1][1:3]], res.h)
+
+    def test_zero_fits_prints_the_start(self, subset_dir, tmp_path, capsys):
+        from parkde.bandwidth import normal_reference_h
+        from parkde.cli import _load_subsets
+
+        out = tmp_path / "trace.csv"
+        code = main([
+            "optimize", "--subsets", str(subset_dir), "--max-iters", "0",
+            "--out", str(out), "--grid-points", "101",
+        ])
+        assert code == EXIT_OK
+        assert read_rows(out) == [
+            ["iter", "h_1", "h_2", "amise_hat", "grad_norm", "step", "backtracks", "stop"]
+        ]
+        printed = capsys.readouterr().out
+        h0 = normal_reference_h(_load_subsets(str(subset_dir)))
+        assert "h = " + ", ".join(f"{v:.6g}" for v in h0) in printed
+        assert "iterations = 0" in printed and "amise_hat" not in printed
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--max-iters", "-1"], ["--tol", "-1"], ["--tol", "0"], ["--tol", "nan"],
+         ["--tol", "inf"]],
+    )
+    def test_invalid_options_are_config_errors(self, subset_dir, flags, capsys):
+        code = main(["optimize", "--subsets", str(subset_dir), "--grid-points", "101", *flags])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_grid_points_reach_optimizer(self, subset_dir, monkeypatch):
         import parkde.cli as cli
@@ -214,6 +246,16 @@ class TestMiseSweep:
         ])
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_closed_form_overflow_names_alpha_and_M(self, tmp_path, capsys):
+        code = main([
+            "mise-sweep", "--family", "gamma", "--alpha", "1e300", "--theta", "1",
+            "-M", "4", "--n", "200", "--replications", "4", "--seed", "1",
+            "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "h_opt_gamma overflows a float for alpha=1e+300, M=4" in err
 
     def test_removed_policy_flags_rejected(self, capsys):
         for flag in (["--h-policy", "fixed"], ["--h-fixed", "0.3"]):
