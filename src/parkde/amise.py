@@ -17,7 +17,6 @@ Jones 1995, section 3.6). `_coefficients` alone forms beta and nu;
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -215,33 +214,12 @@ def _surrogate(beta: np.ndarray, nu: np.ndarray, h: np.ndarray) -> float:
     return float(h2 @ beta @ h2 + np.add.reduce(nu / h))
 
 
-def _surrogate_grad(sym: np.ndarray, nu: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Gradient of `_surrogate` from sym = beta + beta.T, for an h already checked."""
-    h2 = h * h
-    return 2.0 * h * (sym @ h2) - nu / h**2
-
-
 def amise_hat(coeffs: AmiseCoefficients, h) -> float:
     """Surrogate objective sum_ij h_i^2 h_j^2 beta_ij + sum_i nu_i / h_i."""
     return _surrogate(coeffs.beta, coeffs.nu, _check_h(coeffs, h))
 
 
 def amise_hat_grad(coeffs: AmiseCoefficients, h) -> np.ndarray:
-    return _surrogate_grad(coeffs.beta + coeffs.beta.T, coeffs.nu, _check_h(coeffs, h))
-
-
-def dump_coefficients(
-    coeffs: AmiseCoefficients, beta_path: str, nu_path: str
-) -> None:
-    """Write the coefficient tables as CSV for debugging/reproducibility."""
-    with open(beta_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "beta"])
-        for i in range(coeffs.M):
-            for j in range(coeffs.M):
-                w.writerow([i + 1, j + 1, repr(float(coeffs.beta[i, j]))])
-    with open(nu_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "nu"])
-        for i in range(coeffs.M):
-            w.writerow([i + 1, repr(float(coeffs.nu[i]))])
+    h = _check_h(coeffs, h)
+    h2 = h * h
+    return 2.0 * h * ((coeffs.beta + coeffs.beta.T) @ h2) - coeffs.nu / h2

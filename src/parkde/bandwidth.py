@@ -13,7 +13,6 @@ from .amise import (
     _check_h,
     _source_coefficients,
     _surrogate,
-    _surrogate_grad,
 )
 from .estimators import AnalyticModel, SubsetSample, fit_subset_kde
 from .kernels import Kernel, from_name
@@ -69,12 +68,6 @@ def h_opt_normal(n: int, M: int, sigma: float) -> float:
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     return (16.0 / 9.0 * M**3 / (2.0 * M - 1.0)) ** 0.1 * sigma * n ** (-0.2)
-
-
-def h_opt_baseline(n: int, M: int, sigma: float) -> np.ndarray:
-    """Per-subset (M=1) bandwidth replicated across subsets; suboptimal for M > 1."""
-    h = h_opt_normal(n, 1, sigma)
-    return np.full(M, h)
 
 
 def h_opt_gamma(n: int, M: int, alpha: float, theta: float) -> float:
@@ -150,30 +143,25 @@ def normal_reference_h(subsets: Sequence[SubsetSample]) -> np.ndarray:
 class OptimizerOptions:
     """Knobs for the plug-in bandwidth search.
 
-    max_outer_iters counts surrogate fits. The default of 1 fits the plug-in
-    surrogate once, at the normal-reference start, and keeps that pilot fit
-    fixed; values above 1 refit it from the KDEs at each new iterate until
-    two successive iterates lie within tol, and 0 returns the start. Each fit
-    is followed by up to descent_steps_per_iter gradient steps, which stop
-    early once an accepted step is shorter than tol. tol defaults to
-    1e-4 * ||h0||, derived from the initialization when left as None.
+    descent_steps_per_iter caps the Newton steps on the pilot surrogate,
+    which stop early once an accepted step in h is shorter than tol. tol
+    defaults to 1e-4 * ||h0||, derived from the initialization when left as
+    None.
     """
 
-    max_outer_iters: int = 1
     descent_steps_per_iter: int = 400
     tol: float | None = None
 
     def __post_init__(self):
-        if self.max_outer_iters < 0 or self.descent_steps_per_iter < 0:
+        if self.descent_steps_per_iter < 0:
             raise ValueError(
-                "max_outer_iters and descent_steps_per_iter must be >= 0, got "
-                f"{self.max_outer_iters} and {self.descent_steps_per_iter}"
+                f"descent_steps_per_iter must be >= 0, got {self.descent_steps_per_iter}"
             )
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
 
-# stop reasons of a descent that ends at a stationary point of its surrogate
+# stop reasons of a solve that ends at a stationary point of its surrogate
 _CONVERGED = ("step<tol", "zero-gradient")
 
 
@@ -181,56 +169,76 @@ _CONVERGED = ("step<tol", "zero-gradient")
 class OptimizeResult:
     """Outcome of `optimize_bandwidth`.
 
-    converged is True when the last descent stopped at a stationary point of
-    the last fitted surrogate: on an accepted step shorter than tol, or on a
-    zero gradient. trace holds one row per fit: (iteration, h, amise_hat,
-    grad_norm, step, backtracks, stop). grad_norm is the norm of the last
-    gradient taken (nan if none was), step the length of the last accepted
-    step (0.0 if none was), backtracks the number of step halvings over the
-    whole descent, and stop why it ended: "step<tol", "zero-gradient",
-    "step-cap" (descent_steps_per_iter steps taken) or "line-search-failed".
+    converged is True when the solve stopped at a stationary point of the
+    pilot surrogate: on an accepted step shorter than tol, or on a zero
+    gradient. iterations counts surrogate fits and is always 1. trace holds
+    that fit's one row: (iteration, h, amise_hat, grad_norm, step,
+    backtracks, stop, steps, fallbacks). grad_norm is the norm of the last
+    gradient in h taken (nan if none was), step the length in h of the last
+    accepted step (0.0 if none was), backtracks the number of step halvings
+    over the whole solve, and stop why it ended: "step<tol",
+    "zero-gradient", "step-cap" (descent_steps_per_iter steps taken) or
+    "line-search-failed". steps counts the Newton iterations taken and
+    fallbacks those of them that took the gradient direction because the
+    Hessian was not positive definite.
     """
 
     h: np.ndarray
     converged: bool
     iterations: int
-    objective: float | None
-    trace: list[tuple[int, np.ndarray, float, float, float, int, str]] = field(
+    objective: float
+    trace: list[tuple[int, np.ndarray, float, float, float, int, str, int, int]] = field(
         default_factory=list
     )
 
 
-def _descent(
-    coeffs: AmiseCoefficients,
-    h: np.ndarray,
-    opts: OptimizerOptions,
-    h_floor: float,
-    tol: float = 0.0,
-) -> tuple[np.ndarray, float, tuple[float, float, int, str]]:
-    """Projected gradient steps on the surrogate, monotone by backtracking.
+def _newton(coeffs: AmiseCoefficients, h: np.ndarray, opts: OptimizerOptions, tol: float = 0.0):
+    """Newton steps on the surrogate in u = log h, monotone by backtracking.
 
-    Returns the last iterate, its surrogate value and the descent's record
-    (grad_norm, step, backtracks, stop) as described on `OptimizeResult`.
-    Every iterate is at least h_floor > 0, so h is checked once and the
-    surrogate's unchecked formulas run in the loop.
+    With a = h^2 and S = beta + beta^T, the gradient in u is 2 a (S a) - nu/h
+    and the Hessian 4 (a a^T) S + diag(4 a (S a) + nu/h). Where Cholesky
+    finds the Hessian not positive definite (beta may have negative
+    off-diagonal entries) the gradient direction stands in. Each direction
+    is scaled to at most 1 in every log h, so a trial point moves no h by
+    more than a factor e, and halved until the Armijo test holds (Nocedal &
+    Wright 2006, ch. 3). Every iterate is positive, so h is checked once.
+    Returns the last iterate, its surrogate value and the record (grad_norm,
+    step, backtracks, stop, steps, fallbacks) described on `OptimizeResult`.
     """
     h = _check_h(coeffs, h).copy()
     beta, nu = coeffs.beta, coeffs.nu
     sym = beta + beta.T
     f = _surrogate(beta, nu, h)
     gnorm, step, backtracks, stop = math.nan, 0.0, 0, "step-cap"
+    steps = fallbacks = 0
     for _ in range(opts.descent_steps_per_iter):
-        g = _surrogate_grad(sym, nu, h)
-        gnorm = float(np.linalg.norm(g))
+        a = h * h
+        a_sa = a * (sym @ a)
+        nu_h = nu / h
+        g = 2.0 * a_sa - nu_h
+        g_h = g / h
+        gnorm = math.sqrt(g_h @ g_h)
         if gnorm == 0.0:
             stop = "zero-gradient"
             break
-        t = 0.1 * float(np.linalg.norm(h)) / gnorm
+        steps += 1
+        hess = np.multiply.outer(4.0 * a, a) * sym
+        hess.flat[:: coeffs.M + 1] += 4.0 * a_sa + nu_h
+        try:
+            np.linalg.cholesky(hess)
+            d = np.linalg.solve(hess, -g)
+        except np.linalg.LinAlgError:
+            d = -g
+            fallbacks += 1
+        reach = float(np.abs(d).max())
+        if reach > 1.0:
+            d /= reach
+        slope = 1e-4 * float(g @ d)
+        t = 1.0
         for halvings in range(60):
-            cand = np.maximum(h - t * g, h_floor)
+            cand = h * np.exp(t * d)
             fc = _surrogate(beta, nu, cand)
-            d = h - cand
-            if fc <= f - 1e-4 * float(g @ d):
+            if fc <= f + t * slope:
                 break
             t *= 0.5
         else:
@@ -239,12 +247,13 @@ def _descent(
             break
         backtracks += halvings
         f = fc
-        step = float(np.linalg.norm(d))
+        dh = cand - h
+        step = math.sqrt(dh @ dh)
         h = cand
         if step < tol:
             stop = "step<tol"
             break
-    return h, f, (gnorm, step, backtracks, stop)
+    return h, f, (gnorm, step, backtracks, stop, steps, fallbacks)
 
 
 def optimize_bandwidth(
@@ -257,44 +266,27 @@ def optimize_bandwidth(
 
     Initializes each component with the normal-case closed form (pooled
     sample standard deviation standing in for sigma) and fits the plug-in
-    surrogate coefficients from the subset KDEs at that start. By default
-    this pilot fit stays fixed, as in direct plug-in selectors, and the
-    result is the surrogate's minimizer found by gradient descent.
-    Refitting at the current iterate (max_outer_iters > 1) estimates the
-    curvature functionals at the bandwidth being optimized; for M=4
-    subsets of n=2000 that feedback settles on asymmetric points about a
-    third away from the closed-form optimum. Each fit evaluates every KDE
-    on the grid once, for its values and curvatures together, and forms the
-    posterior from the same values.
+    surrogate coefficients once, from the subset KDEs at that start. This
+    pilot fit stays fixed, as in direct plug-in selectors, and the result
+    is the surrogate's minimizer found by `_newton`. The fit evaluates
+    every KDE on the grid once, for its values and curvatures together, and
+    forms the posterior from the same values.
     """
     kernel = kernel or from_name("gaussian")
     if not kernel.smooth:
         raise ValueError("the plug-in optimizer needs a gaussian kernel")
     opts = opts or OptimizerOptions()
     subsets = list(subsets)
-    M = len(subsets)
-    if M < 1:
+    if not subsets:
         raise ValueError("need at least one subset")
 
     h0 = normal_reference_h(subsets)
     tol = opts.tol if opts.tol is not None else 1e-4 * float(np.linalg.norm(h0))
-    h_floor = 1e-3 * float(h0.max()) / M
     if grid is None:
         grid = default_grid(np.concatenate([s.values for s in subsets]), h0)
 
-    N = [s.size for s in subsets]
-    h = h0.copy()
-    trace: list[tuple[int, np.ndarray, float, float, float, int, str]] = []
-    obj = None
-    it = 0
-    for it in range(1, opts.max_outer_iters + 1):
-        kdes = [fit_subset_kde(s, hv, kernel) for s, hv in zip(subsets, h)]
-        coeffs = _source_coefficients(kdes, N, grid, kernel)
-        h_next, obj, record = _descent(coeffs, h, opts, h_floor, tol)
-        trace.append((it, h_next.copy(), obj, *record))
-        moved = float(np.linalg.norm(h - h_next))
-        h = h_next
-        if moved < tol:
-            break
-    converged = bool(trace) and trace[-1][-1] in _CONVERGED
-    return OptimizeResult(h=h, converged=converged, iterations=it, objective=obj, trace=trace)
+    kdes = [fit_subset_kde(s, hv, kernel) for s, hv in zip(subsets, h0)]
+    coeffs = _source_coefficients(kdes, [s.size for s in subsets], grid, kernel)
+    h, obj, record = _newton(coeffs, h0, opts, tol)
+    converged = record[3] in _CONVERGED
+    return OptimizeResult(h, converged, 1, obj, trace=[(1, h.copy(), obj, *record)])

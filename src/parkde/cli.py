@@ -151,12 +151,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="plug-in bandwidth search from a normal-reference pilot")
     p_opt.add_argument("--subsets", required=True)
     p_opt.add_argument("--kernel", default="gaussian", choices=["gaussian", "epanechnikov"])
-    p_opt.add_argument("--max-iters", type=int, default=OptimizerOptions.max_outer_iters,
-                       help="surrogate fits: 1 keeps the pilot fit, more refit at each iterate, "
-                       "0 prints the normal-reference start")
     p_opt.add_argument("--tol", type=float, default=None)
-    p_opt.add_argument("--out", help="per-fit trace CSV (iter,h_1..h_M,amise_hat,grad_norm,"
-                       "step,backtracks,stop)")
+    p_opt.add_argument("--out", help="trace CSV (iter,h_1..h_M,amise_hat,grad_norm,"
+                       "step,backtracks,stop,steps,fallbacks)")
     p_opt.add_argument("--grid-lo", type=float)
     p_opt.add_argument("--grid-hi", type=float)
     # default_grid's own size, so the CLI and library defaults agree
@@ -218,7 +215,7 @@ def _cmd_optimize(args) -> int:
     kernel = from_name(args.kernel)
     if not kernel.smooth:
         raise CliError("optimize requires the gaussian kernel", EXIT_CONFIG)
-    opts = OptimizerOptions(max_outer_iters=args.max_iters, tol=args.tol)
+    opts = OptimizerOptions(tol=args.tol)
     grid = _grid_from_args(args, subsets, normal_reference_h(subsets))
     res = optimize_bandwidth(subsets, kernel, opts, grid=grid)
     if args.out:
@@ -228,20 +225,18 @@ def _cmd_optimize(args) -> int:
                 M = len(subsets)
                 w.writerow(
                     ["iter"] + [f"h_{i + 1}" for i in range(M)]
-                    + ["amise_hat", "grad_norm", "step", "backtracks", "stop"]
+                    + ["amise_hat", "grad_norm", "step", "backtracks", "stop", "steps",
+                       "fallbacks"]
                 )
-                for it, h, obj, gnorm, step, backtracks, stop in res.trace:
+                for it, h, obj, gnorm, step, *counts in res.trace:
                     w.writerow(
-                        [it] + [repr(float(v)) for v in h]
-                        + [repr(obj), repr(gnorm), repr(step), backtracks, stop]
+                        [it] + [repr(float(v)) for v in h] + [repr(obj), repr(gnorm), repr(step)]
+                        + counts
                     )
         except OSError as exc:
             raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO)
     print("h = " + ", ".join(f"{v:.6g}" for v in res.h))
-    status = f"converged = {res.converged}; iterations = {res.iterations}"
-    if res.objective is not None:  # None after zero fits
-        status += f"; amise_hat = {res.objective:.6g}"
-    print(status)
+    print(f"converged = {res.converged}; amise_hat = {res.objective:.6g}")
     return EXIT_OK
 
 

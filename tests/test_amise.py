@@ -11,7 +11,6 @@ from parkde.amise import (
     amise_hat_grad,
     amise_product,
     bias_leading,
-    dump_coefficients,
     empirical_coefficients,
     variance_leading,
 )
@@ -290,17 +289,3 @@ class TestSurrogate:
         with pytest.raises(ValueError):
             AmiseCoefficients(np.full((1, 1), np.nan), np.array([1.0]), 1)
 
-
-def test_dump_coefficients_roundtrip(tmp_path):
-    post = make_posterior(seed=1, M=2, n=100, h=0.4, pts=801)
-    co = empirical_coefficients(post)
-    bpath = tmp_path / "beta.csv"
-    npath = tmp_path / "nu.csv"
-    dump_coefficients(co, str(bpath), str(npath))
-    brows = bpath.read_text().strip().splitlines()
-    nrows = npath.read_text().strip().splitlines()
-    assert brows[0] == "i,j,beta"
-    assert len(brows) == 5
-    assert nrows[0] == "i,nu"
-    i, j, val = brows[1].split(",")
-    assert float(val) == co.beta[0, 0]

@@ -3,14 +3,22 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import parkde.bandwidth as bandwidth
 import parkde.estimators as estimators
-from parkde.amise import amise_bar, amise_hat, amise_hat_grad, empirical_coefficients
+from parkde.amise import (
+    AmiseCoefficients,
+    amise_bar,
+    amise_hat,
+    amise_hat_grad,
+    empirical_coefficients,
+)
 from parkde.bandwidth import (
     GammaDomain,
     OptimizerOptions,
+    _newton,
     ab_constants,
-    h_opt_baseline,
     h_opt_gamma,
     h_opt_normal,
     h_opt_symmetric,
@@ -19,6 +27,7 @@ from parkde.bandwidth import (
     parzen_h_m1,
 )
 from parkde.estimators import AnalyticModel, SubsetSample, fit_subset_kde, normalize
+from parkde.harness import closed_form_h
 from parkde.kernels import from_name
 from parkde.quadrature import Grid, argmin_scalar
 
@@ -133,13 +142,11 @@ def test_h_opt_normal_asymptotic_coefficient():
 
 
 def test_h_opt_baseline_ignores_m():
-    b4 = h_opt_baseline(1000, 4, 1.0)
-    b8 = h_opt_baseline(1000, 8, 1.0)
-    assert b4.shape == (4,)
-    assert b8.shape == (8,)
-    np.testing.assert_allclose(b4, 0.2660650, atol=5e-8)
-    assert b4[0] == b8[0]
-    assert h_opt_baseline(1000, 1, 1.0)[0] == h_opt_normal(1000, 1, 1.0)
+    # the baseline policy is the single-subset (M=1) rule for every M
+    b4 = closed_form_h(AnalyticModel.normal(0.0, 1.0, 4), 1000, baseline=True)
+    b8 = closed_form_h(AnalyticModel.normal(0.0, 1.0, 8), 1000, baseline=True)
+    assert b4 == pytest.approx(0.2660650, abs=5e-8)
+    assert b4 == b8 == h_opt_normal(1000, 1, 1.0)
 
 
 def test_closed_forms_decrease_in_n():
@@ -195,49 +202,45 @@ def test_h_opt_gamma_against_error_functional_argmin(M):
     assert closed == pytest.approx(numeric, rel=1e-3)
 
 
-def reference_optimize(subsets, grid, max_outer_iters):
-    """The plug-in fit and descent through public names only: each fit
-    normalizes the KDEs, then takes `empirical_coefficients`, and every
-    trial point goes through the validating `amise_hat`/`amise_hat_grad`.
-    Returns (h, converged, iterations, objective, [(iteration, h, objective)])."""
+def reference_optimize(subsets, grid):
+    """The projected gradient descent that solved the pilot surrogate before
+    Newton's method, through public names only: the fit normalizes the KDEs,
+    then takes `empirical_coefficients`, and every trial point goes through
+    the validating `amise_hat`/`amise_hat_grad`.
+    Returns (h, converged, objective)."""
     M = len(subsets)
     h0 = normal_reference_h(subsets)
     tol = 1e-4 * float(np.linalg.norm(h0))
     h_floor = 1e-3 * float(h0.max()) / M
-    h, trace, converged, obj = h0.copy(), [], False, None
-    for it in range(1, max_outer_iters + 1):
-        kdes = [fit_subset_kde(s, hv, GAUSS) for s, hv in zip(subsets, h)]
-        coeffs = empirical_coefficients(normalize(kdes, grid), grid)
-        x, converged = h.copy(), False
-        f = amise_hat(coeffs, x)
-        for _ in range(400):
-            g = amise_hat_grad(coeffs, x)
-            gnorm = float(np.linalg.norm(g))
-            if gnorm == 0.0:
-                converged = True
-                break
-            t = 0.1 * float(np.linalg.norm(x)) / gnorm
-            for _ in range(60):
-                cand = np.maximum(x - t * g, h_floor)
-                fc = amise_hat(coeffs, cand)
-                if fc <= f - 1e-4 * float(g @ (x - cand)):
-                    f = fc
-                    break
-                t *= 0.5
-            else:
-                break
-            step = float(np.linalg.norm(cand - x))
-            x = cand
-            if step < tol:
-                converged = True
-                break
-        obj = amise_hat(coeffs, x)
-        trace.append((it, x.copy(), obj))
-        moved = float(np.linalg.norm(h - x))
-        h = x
-        if moved < tol:
+    kdes = [fit_subset_kde(s, hv, GAUSS) for s, hv in zip(subsets, h0)]
+    coeffs = empirical_coefficients(normalize(kdes, grid), grid)
+    x, converged = h0.copy(), False
+    f = amise_hat(coeffs, x)
+    for _ in range(400):
+        g = amise_hat_grad(coeffs, x)
+        gnorm = float(np.linalg.norm(g))
+        if gnorm == 0.0:
+            converged = True
             break
-    return h, converged, len(trace), obj, trace
+        t = 0.1 * float(np.linalg.norm(x)) / gnorm
+        for _ in range(60):
+            cand = np.maximum(x - t * g, h_floor)
+            fc = amise_hat(coeffs, cand)
+            if fc <= f - 1e-4 * float(g @ (x - cand)):
+                f = fc
+                break
+            t *= 0.5
+        else:
+            break
+        step = float(np.linalg.norm(cand - x))
+        x = cand
+        if step < tol:
+            converged = True
+            break
+    return x, converged, amise_hat(coeffs, x)
+
+
+STOPS = ("step<tol", "zero-gradient", "step-cap", "line-search-failed")
 
 
 class TestOptimizeBandwidth:
@@ -245,17 +248,6 @@ class TestOptimizeBandwidth:
         model = AnalyticModel.normal(0.0, 1.0, M)
         rng = np.random.default_rng(seed)
         return [SubsetSample(model.sample_subset(rng, n)) for _ in range(M)]
-
-    def test_zero_outer_iters_returns_initialization(self):
-        subs = self.normal_subsets(2, 300, 0)
-        opts = OptimizerOptions(max_outer_iters=0)
-        res = optimize_bandwidth(subs, opts=opts, grid=Grid(-4, 4, 401))
-        pooled = np.concatenate([s.values for s in subs])
-        sigma = float(np.std(pooled, ddof=1))
-        np.testing.assert_array_equal(res.h, np.full(2, h_opt_normal(300, 2, sigma)))
-        assert not res.converged
-        assert res.iterations == 0
-        assert res.trace == []
 
     def test_single_subset_lands_near_classical_bandwidth(self):
         # the curvature integral of a fitted KDE carries an upward
@@ -282,21 +274,16 @@ class TestOptimizeBandwidth:
         assert res.converged and res.iterations == 1
         assert res.objective == pytest.approx(amise_hat(coeffs, res.h), rel=1e-12)
 
-    def test_iterates_respect_floor_and_trace_is_monotone_in_iter(self):
+    def test_iterates_are_positive_and_trace_is_one_row(self):
         subs = self.normal_subsets(3, 200, 1)
-        opts = OptimizerOptions(max_outer_iters=4)
-        res = optimize_bandwidth(subs, opts=opts, grid=Grid(-4, 4, 401))
+        res = optimize_bandwidth(subs, grid=Grid(-4, 4, 401))
         assert (res.h > 0).all()
-        iters = [t[0] for t in res.trace]
-        assert iters == sorted(iters)
-        assert res.iterations == len(res.trace)
-        for _, h, obj, *_ in res.trace:
-            assert (h > 0).all() and np.isfinite(obj)
+        assert res.iterations == len(res.trace) == 1
+        it, h, obj, *_ = res.trace[0]
+        assert it == 1 and obj == res.objective and np.isfinite(obj)
+        np.testing.assert_array_equal(h, res.h)
 
     def test_inner_descent_monotone_on_frozen_surrogate(self):
-        from parkde.amise import AmiseCoefficients, amise_hat
-        from parkde.bandwidth import _descent
-
         rng = np.random.default_rng(8)
         M = 3
         beta = rng.normal(0, 1, (M, M))
@@ -305,25 +292,24 @@ class TestOptimizeBandwidth:
         co = AmiseCoefficients(beta, nu, M)
         h0 = rng.uniform(0.5, 1.5, M)
         opts = OptimizerOptions()
-        h1, *_ = _descent(co, h0, opts, h_floor=1e-6)
+        h1, *_ = _newton(co, h0, opts)
         assert amise_hat(co, h1) <= amise_hat(co, h0) + 1e-15
 
-    @pytest.mark.parametrize("max_outer_iters", [1, 4])
+    @pytest.mark.parametrize("M", [1, 4])
     @pytest.mark.parametrize("seed", range(4))
-    def test_matches_public_fit_and_descent_loop(self, seed, max_outer_iters):
-        # one grid evaluation per KDE and the unchecked surrogate in the
-        # descent change no bit of the result
-        subs = self.normal_subsets(4, 250, seed)
+    def test_matches_public_fit_and_descent_loop(self, seed, M):
+        # Newton's method lands where the gradient descent it replaced did,
+        # to within that descent's own stopping error, and never higher
+        subs = self.normal_subsets(M, 250, seed)
         grid = Grid(-4, 4, 201)
-        opts = OptimizerOptions(max_outer_iters=max_outer_iters)
-        res = optimize_bandwidth(subs, opts=opts, grid=grid)
-        h, converged, iterations, obj, trace = reference_optimize(subs, grid, max_outer_iters)
-        np.testing.assert_array_equal(res.h, h)
-        assert (res.converged, res.iterations, res.objective) == (converged, iterations, obj)
-        assert len(res.trace) == len(trace)
-        for row, (it, h_it, obj_it) in zip(res.trace, trace):
-            assert row[0] == it and row[2] == obj_it
-            np.testing.assert_array_equal(row[1], h_it)
+        res = optimize_bandwidth(subs, grid=grid)
+        h, converged, obj = reference_optimize(subs, grid)
+        np.testing.assert_allclose(res.h, h, rtol=1e-3)
+        assert res.objective <= obj * (1.0 + 1e-12)
+        assert res.converged and converged and res.iterations == 1
+        (row,) = res.trace
+        assert row[0] == 1 and row[2] == res.objective
+        np.testing.assert_array_equal(row[1], res.h)
 
     def test_each_fit_evaluates_every_kde_once(self, monkeypatch):
         calls = []
@@ -336,55 +322,63 @@ class TestOptimizeBandwidth:
         monkeypatch.setattr(estimators, "kde_rows", counting)
         subs = self.normal_subsets(3, 200, 1)
         grid = Grid(-4, 4, 401)
-        res = optimize_bandwidth(subs, opts=OptimizerOptions(max_outer_iters=4), grid=grid)
-        assert res.iterations > 1
-        assert len(calls) == 3 * res.iterations
+        res = optimize_bandwidth(subs, grid=grid)
+        assert res.iterations == 1
+        assert len(calls) == 3
         assert all(g == grid for g in calls)
 
     def test_trace_records_why_each_descent_stopped(self):
         subs = self.normal_subsets(3, 200, 1)
-        opts = OptimizerOptions(max_outer_iters=4)
-        res = optimize_bandwidth(subs, opts=opts, grid=Grid(-4, 4, 401))
+        res = optimize_bandwidth(subs, grid=Grid(-4, 4, 401))
         tol = 1e-4 * float(np.linalg.norm(normal_reference_h(subs)))
-        for _, _, _, gnorm, step, backtracks, stop in res.trace:
-            assert stop == "step<tol" and 0.0 < step < tol
-            assert math.isfinite(gnorm) and gnorm > 0.0
-            assert isinstance(backtracks, int) and backtracks >= 0
+        (row,) = res.trace
+        _, _, _, gnorm, step, backtracks, stop, steps, fallbacks = row
+        assert stop == "step<tol" and 0.0 < step < tol
+        assert math.isfinite(gnorm) and gnorm > 0.0
+        assert isinstance(backtracks, int) and backtracks >= 0
+        assert isinstance(steps, int) and 1 <= steps <= 400
+        assert isinstance(fallbacks, int) and 0 <= fallbacks <= steps
         assert res.converged
 
     def test_descent_stop_reasons(self):
-        from parkde.amise import AmiseCoefficients
-        from parkde.bandwidth import _descent
-
         # 4 b h^3 - nu / h^2 vanishes at h = 1 for b = 1/4, nu = 1
         flat = AmiseCoefficients(np.array([[0.25]]), np.array([1.0]), 1)
-        h, f, record = _descent(flat, np.array([1.0]), OptimizerOptions(), 1e-6)
-        assert (h[0], f, record) == (1.0, 1.25, (0.0, 0.0, 0, "zero-gradient"))
+        h, f, record = _newton(flat, np.array([1.0]), OptimizerOptions())
+        assert (h[0], f, record) == (1.0, 1.25, (0.0, 0.0, 0, "zero-gradient", 0, 0))
 
         rng = np.random.default_rng(8)
         beta = rng.normal(0, 1, (3, 3))
         co = AmiseCoefficients(beta @ beta.T, rng.uniform(0.5, 2.0, 3), 3)
         h0 = rng.uniform(0.5, 1.5, 3)
-        h, f, (gnorm, step, backtracks, stop) = _descent(
-            co, h0, OptimizerOptions(descent_steps_per_iter=2), 1e-6
+        h, f, (gnorm, step, backtracks, stop, steps, _) = _newton(
+            co, h0, OptimizerOptions(descent_steps_per_iter=2)
         )
-        assert stop == "step-cap" and step > 0.0 and gnorm > 0.0
+        assert stop == "step-cap" and steps == 2 and step > 0.0 and gnorm > 0.0
         assert f == amise_hat(co, h) < amise_hat(co, h0)
-        _, _, record = _descent(co, h0, OptimizerOptions(descent_steps_per_iter=0), 1e-6)
-        assert math.isnan(record[0]) and record[1:] == (0.0, 0, "step-cap")
-        _, _, record = _descent(co, h0, OptimizerOptions(), 1e-6, tol=1e-3)
+        _, _, record = _newton(co, h0, OptimizerOptions(descent_steps_per_iter=0))
+        assert math.isnan(record[0]) and record[1:] == (0.0, 0, "step-cap", 0, 0)
+        _, _, record = _newton(co, h0, OptimizerOptions(), tol=1e-3)
         assert record[3] == "step<tol" and record[1] < 1e-3
 
         # the gradient overflows at h = 1e110, so every trial point is nan
         with np.errstate(all="ignore"):
-            h, f, record = _descent(co, np.full(3, 1e110), OptimizerOptions(), 1e-6)
-        assert record[2:] == (60, "line-search-failed") and f == math.inf
+            h, f, record = _newton(co, np.full(3, 1e110), OptimizerOptions())
+        assert record[2:4] == (60, "line-search-failed") and f == math.inf
         np.testing.assert_array_equal(h, np.full(3, 1e110))
+
+    def test_indefinite_hessian_takes_the_gradient_direction(self):
+        # beta is positive definite, but far from balance (h_1 << h_2) the
+        # negative off-diagonal entry makes the Hessian in log h indefinite
+        co = AmiseCoefficients(np.array([[1.0, -0.9], [-0.9, 1.0]]), np.array([1e-3, 1e-3]), 2)
+        h0 = np.array([0.05, 2.0])
+        h, f, (_, _, _, stop, steps, fallbacks) = _newton(co, h0, OptimizerOptions(), tol=1e-6)
+        assert fallbacks >= 1 and steps > fallbacks
+        assert stop == "step<tol" and f < amise_hat(co, h0)
+        assert float(np.linalg.norm(amise_hat_grad(co, h))) < 1e-3
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_outer_iters": -1},
             {"descent_steps_per_iter": -1},
             {"tol": 0.0},
             {"tol": -1.0},
@@ -396,6 +390,11 @@ class TestOptimizeBandwidth:
         with pytest.raises(ValueError):
             OptimizerOptions(**kwargs)
 
+    def test_refit_loop_is_gone(self):
+        # the optimizer fits its surrogate once; there is no fit count to set
+        with pytest.raises(TypeError):
+            OptimizerOptions(max_outer_iters=1)
+
     def test_requires_smooth_kernel(self):
         subs = self.normal_subsets(2, 100, 2)
         with pytest.raises(ValueError):
@@ -404,3 +403,49 @@ class TestOptimizeBandwidth:
     def test_requires_subsets(self):
         with pytest.raises(ValueError):
             optimize_bandwidth([])
+
+
+def _perturbed_coefficients(M, seed, nu_exp, scale_exp):
+    """beta = B B^T plus negative off-diagonal entries (some of them large
+    enough that Cholesky rejects the Hessian in log h), nu log-uniform
+    around 10^nu_exp and h0 log-uniform around 10^scale_exp, within
+    [1e-4, 1e4]. A diagonal load of 1 bounds the perturbation (|E_ij| <=
+    1/M), so the quartic term stays nonnegative for h > 0."""
+    rng = np.random.default_rng(seed)
+    B = rng.normal(0.0, rng.uniform(0.0, 1.0), (M, M))
+    E = -rng.uniform(0.0, 1.0 / M, (M, M))
+    np.fill_diagonal(E, 1.0)
+    nu = 10.0 ** np.clip(nu_exp + rng.uniform(-1.0, 1.0, M), -3.0, 3.0)
+    h0 = 10.0 ** np.clip(scale_exp + rng.uniform(-1.0, 1.0, M), -4.0, 4.0)
+    return AmiseCoefficients(B @ B.T + E, nu, M), h0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    M=st.integers(1, 32),
+    seed=st.integers(0, 2**32 - 1),
+    nu_exp=st.floats(-3.0, 3.0),
+    scale_exp=st.floats(-4.0, 4.0),
+)
+def test_newton_iterates_stay_finite_positive_and_descend(M, seed, nu_exp, scale_exp):
+    co, h0 = _perturbed_coefficients(M, seed, nu_exp, scale_exp)
+    trials = []
+
+    def recording(beta, nu, h):
+        trials.append(h.copy())
+        return real(beta, nu, h)
+
+    real = bandwidth._surrogate
+    tol = 1e-4 * float(np.linalg.norm(h0))
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="raise"):
+        mp.setattr(bandwidth, "_surrogate", recording)
+        h, f, (gnorm, step, backtracks, stop, steps, fallbacks) = _newton(
+            co, h0, OptimizerOptions(), tol
+        )
+    # every trial point, and so every iterate, is finite and positive
+    for x in trials:
+        assert np.isfinite(x).all() and (x > 0).all()
+    assert np.isfinite(h).all() and (h > 0).all()
+    assert f == amise_hat(co, h) <= amise_hat(co, h0)
+    assert stop in STOPS
+    assert 0 <= fallbacks <= steps <= 400

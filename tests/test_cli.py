@@ -115,20 +115,22 @@ class TestOptimize:
     def test_trace_output(self, subset_dir, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         code = main([
-            "optimize", "--subsets", str(subset_dir), "--max-iters", "3",
+            "optimize", "--subsets", str(subset_dir),
             "--out", str(out), "--grid-lo", "-4", "--grid-hi", "4",
             "--grid-points", "401",
         ])
         assert code == EXIT_OK
         rows = read_rows(out)
         assert rows[0] == [
-            "iter", "h_1", "h_2", "amise_hat", "grad_norm", "step", "backtracks", "stop"
+            "iter", "h_1", "h_2", "amise_hat", "grad_norm", "step", "backtracks", "stop",
+            "steps", "fallbacks",
         ]
-        assert len(rows) >= 2
-        for r in rows[1:]:
-            assert float(r[1]) > 0 and float(r[2]) > 0
-            assert float(r[4]) > 0 and float(r[5]) >= 0 and int(r[6]) >= 0
-            assert r[7] in ("step<tol", "zero-gradient", "step-cap", "line-search-failed")
+        assert len(rows) == 2
+        r = rows[1]
+        assert r[0] == "1" and float(r[1]) > 0 and float(r[2]) > 0
+        assert float(r[4]) > 0 and float(r[5]) >= 0 and int(r[6]) >= 0
+        assert r[7] in ("step<tol", "zero-gradient", "step-cap", "line-search-failed")
+        assert 0 <= int(r[9]) <= int(r[8]) and int(r[8]) >= 1
         captured = capsys.readouterr()
         assert "h = " in captured.out
 
@@ -148,28 +150,16 @@ class TestOptimize:
         assert len(rows) == 1 + len(res.trace)
         np.testing.assert_array_equal([float(v) for v in rows[-1][1:3]], res.h)
 
-    def test_zero_fits_prints_the_start(self, subset_dir, tmp_path, capsys):
-        from parkde.bandwidth import normal_reference_h
-        from parkde.cli import _load_subsets
-
-        out = tmp_path / "trace.csv"
-        code = main([
-            "optimize", "--subsets", str(subset_dir), "--max-iters", "0",
-            "--out", str(out), "--grid-points", "101",
-        ])
-        assert code == EXIT_OK
-        assert read_rows(out) == [
-            ["iter", "h_1", "h_2", "amise_hat", "grad_norm", "step", "backtracks", "stop"]
-        ]
-        printed = capsys.readouterr().out
-        h0 = normal_reference_h(_load_subsets(str(subset_dir)))
-        assert "h = " + ", ".join(f"{v:.6g}" for v in h0) in printed
-        assert "iterations = 0" in printed and "amise_hat" not in printed
+    def test_max_iters_flag_is_gone(self, subset_dir, capsys):
+        # the surrogate is fitted once; the old fit count is an unknown flag
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--subsets", str(subset_dir), "--max-iters", "3"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--max-iters" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",
-        [["--max-iters", "-1"], ["--tol", "-1"], ["--tol", "0"], ["--tol", "nan"],
-         ["--tol", "inf"]],
+        [["--tol", "-1"], ["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"]],
     )
     def test_invalid_options_are_config_errors(self, subset_dir, flags, capsys):
         code = main(["optimize", "--subsets", str(subset_dir), "--grid-points", "101", *flags])
