@@ -177,7 +177,7 @@ def _source_coefficients(
     curvatures together, and the posterior is formed from the same values.
     """
     P, Pdd = _grid_tables(source, grid)
-    post = ProductPosterior.from_product(_providers(source), grid, np.prod(P, axis=0))
+    post = ProductPosterior.from_product(_providers(source), grid, P)
     return _coefficients(P, Pdd, N, post, kernel or from_name("gaussian"))
 
 

@@ -139,27 +139,9 @@ def normal_reference_h(subsets: Sequence[SubsetSample]) -> np.ndarray:
     return np.array([h_opt_normal(s.size, len(subsets), sigma_hat) for s in subsets])
 
 
-@dataclass(frozen=True)
-class OptimizerOptions:
-    """Knobs for the plug-in bandwidth search.
-
-    descent_steps_per_iter caps the Newton steps on the pilot surrogate,
-    which stop early once an accepted step in h is shorter than tol. tol
-    defaults to 1e-4 * ||h0||, derived from the initialization when left as
-    None.
-    """
-
-    descent_steps_per_iter: int = 400
-    tol: float | None = None
-
-    def __post_init__(self):
-        if self.descent_steps_per_iter < 0:
-            raise ValueError(
-                f"descent_steps_per_iter must be >= 0, got {self.descent_steps_per_iter}"
-            )
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
-
+# cap on the Newton steps of one solve; solves stop on a short step after a
+# median of 5
+_MAX_STEPS = 400
 
 # stop reasons of a solve that ends at a stationary point of its surrogate
 _CONVERGED = ("step<tol", "zero-gradient")
@@ -177,7 +159,7 @@ class OptimizeResult:
     gradient in h taken (nan if none was), step the length in h of the last
     accepted step (0.0 if none was), backtracks the number of step halvings
     over the whole solve, and stop why it ended: "step<tol",
-    "zero-gradient", "step-cap" (descent_steps_per_iter steps taken) or
+    "zero-gradient", "step-cap" (the step limit was reached) or
     "line-search-failed". steps counts the Newton iterations taken and
     fallbacks those of them that took the gradient direction because the
     Hessian was not positive definite.
@@ -192,7 +174,9 @@ class OptimizeResult:
     )
 
 
-def _newton(coeffs: AmiseCoefficients, h: np.ndarray, opts: OptimizerOptions, tol: float = 0.0):
+def _newton(
+    coeffs: AmiseCoefficients, h: np.ndarray, tol: float = 0.0, max_steps: int = _MAX_STEPS
+):
     """Newton steps on the surrogate in u = log h, monotone by backtracking.
 
     With a = h^2 and S = beta + beta^T, the gradient in u is 2 a (S a) - nu/h
@@ -211,7 +195,7 @@ def _newton(coeffs: AmiseCoefficients, h: np.ndarray, opts: OptimizerOptions, to
     f = _surrogate(beta, nu, h)
     gnorm, step, backtracks, stop = math.nan, 0.0, 0, "step-cap"
     steps = fallbacks = 0
-    for _ in range(opts.descent_steps_per_iter):
+    for _ in range(max_steps):
         a = h * h
         a_sa = a * (sym @ a)
         nu_h = nu / h
@@ -258,35 +242,35 @@ def _newton(coeffs: AmiseCoefficients, h: np.ndarray, opts: OptimizerOptions, to
 
 def optimize_bandwidth(
     subsets: Sequence[SubsetSample],
-    kernel: Kernel | None = None,
-    opts: OptimizerOptions | None = None,
     grid: Grid | None = None,
+    tol: float | None = None,
 ) -> OptimizeResult:
     """Locate a near-optimal bandwidth vector from subset samples alone.
 
     Initializes each component with the normal-case closed form (pooled
     sample standard deviation standing in for sigma) and fits the plug-in
-    surrogate coefficients once, from the subset KDEs at that start. This
-    pilot fit stays fixed, as in direct plug-in selectors, and the result
-    is the surrogate's minimizer found by `_newton`. The fit evaluates
-    every KDE on the grid once, for its values and curvatures together, and
-    forms the posterior from the same values.
+    surrogate coefficients once, from the Gaussian subset KDEs at that
+    start. This pilot fit stays fixed, as in direct plug-in selectors, and
+    the result is the surrogate's minimizer found by `_newton`, which stops
+    once an accepted step in h is shorter than tol (default 1e-4 * ||h0||).
+    The fit evaluates every KDE on the grid once, for its values and
+    curvatures together, and forms the posterior from the same values.
     """
-    kernel = kernel or from_name("gaussian")
-    if not kernel.smooth:
-        raise ValueError("the plug-in optimizer needs a gaussian kernel")
-    opts = opts or OptimizerOptions()
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     subsets = list(subsets)
     if not subsets:
         raise ValueError("need at least one subset")
 
     h0 = normal_reference_h(subsets)
-    tol = opts.tol if opts.tol is not None else 1e-4 * float(np.linalg.norm(h0))
+    if tol is None:
+        tol = 1e-4 * float(np.linalg.norm(h0))
     if grid is None:
         grid = default_grid(np.concatenate([s.values for s in subsets]), h0)
 
+    kernel = from_name("gaussian")
     kdes = [fit_subset_kde(s, hv, kernel) for s, hv in zip(subsets, h0)]
     coeffs = _source_coefficients(kdes, [s.size for s in subsets], grid, kernel)
-    h, obj, record = _newton(coeffs, h0, opts, tol)
+    h, obj, record = _newton(coeffs, h0, tol)
     converged = record[3] in _CONVERGED
     return OptimizeResult(h, converged, 1, obj, trace=[(1, h.copy(), obj, *record)])

@@ -9,12 +9,7 @@ import sys
 
 import numpy as np
 
-from .bandwidth import (
-    GammaDomain,
-    OptimizerOptions,
-    normal_reference_h,
-    optimize_bandwidth,
-)
+from .bandwidth import GammaDomain, normal_reference_h, optimize_bandwidth
 from .estimators import DegenerateProduct, SubsetSample, fit_subset_kde, normalize
 from .harness import (
     DegenerateMajority,
@@ -150,7 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="plug-in bandwidth search from a normal-reference pilot")
     p_opt.add_argument("--subsets", required=True)
-    p_opt.add_argument("--kernel", default="gaussian", choices=["gaussian", "epanechnikov"])
     p_opt.add_argument("--tol", type=float, default=None)
     p_opt.add_argument("--out", help="trace CSV (iter,h_1..h_M,amise_hat,grad_norm,"
                        "step,backtracks,stop,steps,fallbacks)")
@@ -212,12 +206,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_optimize(args) -> int:
     subsets = _load_subsets(args.subsets)
-    kernel = from_name(args.kernel)
-    if not kernel.smooth:
-        raise CliError("optimize requires the gaussian kernel", EXIT_CONFIG)
-    opts = OptimizerOptions(tol=args.tol)
     grid = _grid_from_args(args, subsets, normal_reference_h(subsets))
-    res = optimize_bandwidth(subsets, kernel, opts, grid=grid)
+    res = optimize_bandwidth(subsets, grid=grid, tol=args.tol)
     if args.out:
         try:
             with open(args.out, "w", newline="") as fh:

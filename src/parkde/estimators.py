@@ -152,25 +152,14 @@ def fit_subset_kde(sample: SubsetSample, h: float, kernel: Kernel) -> SubsetKde:
     return SubsetKde(sample, float(h), kernel)
 
 
-def eval_product(components: Sequence[SubsetKde], x):
-    """Unnormalized product of the subset KDEs."""
-    if len(components) < 1:
-        raise ValueError("need at least one component")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    out = np.ones(x.reshape(-1).shape)
-    for kde in components:
-        out = out * kde(x.reshape(-1))
-    return float(out[0]) if scalar else out
-
-
 @dataclass(frozen=True)
 class ProductPosterior:
     """Normalized product of subset KDEs with its mass and values on a grid.
 
     values holds the normalized density at grid.points, from the components'
     grid rows, so callers that want the grid do not evaluate the components
-    a second time; posterior(x) evaluates them exactly at any x.
+    a second time; posterior(x) multiplies the components' exact sums at
+    any x.
     """
 
     components: tuple[SubsetKde, ...]
@@ -182,22 +171,19 @@ class ProductPosterior:
     def c_hat(self) -> float:
         return 1.0 / self.lambda_hat
 
-    @property
-    def n_subsets(self) -> int:
-        return len(self.components)
-
-    def product(self, x):
-        return eval_product(self.components, x)
-
     def posterior(self, x):
-        return self.c_hat * self.product(x)
+        x = np.asarray(x, dtype=float)
+        vals = self.c_hat * np.prod([c(x.reshape(-1)) for c in self.components], axis=0)
+        return float(vals[0]) if x.ndim == 0 else vals
 
     @classmethod
     def from_product(
-        cls, components: Sequence, grid: Grid, vals: np.ndarray
+        cls, components: Sequence, grid: Grid, rows: np.ndarray
     ) -> "ProductPosterior":
-        """Normalize the components' product values on grid; the one place
-        the mass is integrated and checked."""
+        """Multiply the components' (M, G) rows on grid and normalize the
+        product; the one place a product is formed and its mass integrated
+        and checked."""
+        vals = np.prod(rows, axis=0)
         lam = vals @ simpson_weights(grid.n_points, grid.spacing)
         if not math.isfinite(lam):
             raise DegenerateProduct(
@@ -226,10 +212,8 @@ def normalize(components: Sequence[SubsetKde], grid: Grid) -> ProductPosterior:
 
     Components are subset KDEs or other density callables (see `grid_rows`).
     """
-    vals = np.ones(grid.n_points)
-    for c in components:
-        vals = vals * grid_rows(c, grid)[0]
-    return ProductPosterior.from_product(components, grid, vals)
+    rows = np.stack([grid_rows(c, grid)[0] for c in components])
+    return ProductPosterior.from_product(components, grid, rows)
 
 
 @dataclass(frozen=True)
@@ -277,21 +261,6 @@ class AnalyticModel:
             return _normal_pdf(x, self.mu, self.sigma, deriv)
         return _gamma_pdf(x, self.alpha, self.theta, deriv)
 
-    # -- unnormalized product p* = p1^M ---------------------------------
-
-    def product(self, x, deriv: int = 0):
-        p = self.subset(x, 0)
-        if deriv == 0:
-            return p**self.M
-        d1 = self.subset(x, 1)
-        if deriv == 1:
-            return self.M * p ** (self.M - 1) * d1
-        if deriv == 2:
-            d2 = self.subset(x, 2)
-            lower = self.M * (self.M - 1) * p ** (self.M - 2) * d1 * d1 if self.M > 1 else 0.0
-            return lower + self.M * p ** (self.M - 1) * d2
-        raise ValueError(f"deriv must be in 0..2, got {deriv}")
-
     # -- normalized posterior -------------------------------------------
 
     def posterior(self, x, deriv: int = 0):
@@ -299,26 +268,6 @@ class AnalyticModel:
             return _normal_pdf(x, self.mu, self.sigma / math.sqrt(self.M), deriv)
         shape = self.M * (self.alpha - 1.0) + 1.0
         return _gamma_pdf(x, shape, self.theta / self.M, deriv)
-
-    @property
-    def lam(self) -> float:
-        """Mass of the unnormalized product, int p1^M."""
-        if self.family == NORMAL_FAMILY:
-            return (2.0 * math.pi * self.sigma**2) ** ((1 - self.M) / 2.0) / math.sqrt(
-                self.M
-            )
-        a1 = self.alpha - 1.0
-        log_lam = (
-            math.lgamma(self.M * a1 + 1.0)
-            + (self.M * a1 + 1.0) * math.log(self.theta / self.M)
-            - self.M * math.lgamma(self.alpha)
-            - self.alpha * self.M * math.log(self.theta)
-        )
-        return math.exp(log_lam)
-
-    @property
-    def c(self) -> float:
-        return 1.0 / self.lam
 
     def sample_subset(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.family == NORMAL_FAMILY:

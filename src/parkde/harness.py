@@ -17,7 +17,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,6 +67,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.outer_repeats < 1:
+            raise ValueError("outer_repeats must be >= 1")
+        if not self.n_per_subset:
+            raise ValueError("n_per_subset needs at least one sample size")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not (self.sweep_lo < self.sweep_hi):
@@ -122,23 +126,16 @@ def _stream(seed, outer: int, rep: int, subset: int) -> np.random.Generator:
 
 
 def sample_model(
-    model: AnalyticModel, M: int, n: int, seed, outer: int = 0, rep: int = 0
+    model: AnalyticModel, n: int, seed, outer: int = 0, rep: int = 0
 ) -> list[SubsetSample]:
-    """M independent subsets of n i.i.d. draws, deterministic given the key."""
+    """model.M independent subsets of n i.i.d. draws, deterministic given the key."""
     if n < 1:
         raise ValueError("n must be >= 1")
     out = []
-    for m in range(M):
+    for m in range(model.M):
         rng = _stream(seed, outer, rep, m)
         out.append(SubsetSample(model.sample_subset(rng, n), subset_index=m + 1))
     return out
-
-
-def ise(truth: Callable, estimate: Callable, grid: Grid) -> float:
-    """Integrated squared error between two densities on the grid."""
-    t = np.asarray(truth(grid.points), dtype=float)
-    e = np.asarray(estimate(grid.points), dtype=float)
-    return integrate_values((e - t) ** 2, grid.spacing)
 
 
 def _replication(job) -> list[float | None]:
@@ -150,21 +147,18 @@ def _replication(job) -> list[float | None]:
     """
     model, n, h_rows, seed, outer, rep, grid = job
     kernel = from_name("gaussian")
-    samples = sample_model(model, model.M, n, seed, outer, rep)
+    samples = sample_model(model, n, seed, outer, rep)
     truth = np.asarray(model.posterior(grid.points), dtype=float)
     products = [[fit_subset_kde(s, h, kernel) for s, h in zip(samples, row)] for row in h_rows]
-    # per subset, its KDE row at each h row's bandwidth
-    subset_rows = [
+    # (M, R, G): per subset, its KDE row at each h row's bandwidth
+    rows = np.stack([
         kde_rows(s, [kdes[m].bandwidth for kdes in products], kernel, grid)[:, 0]
         for m, s in enumerate(samples)
-    ]
+    ])
     out: list[float | None] = []
     for r, kdes in enumerate(products):
-        vals = np.ones(grid.n_points)
-        for rows in subset_rows:
-            vals = vals * rows[r]
         try:
-            post = ProductPosterior.from_product(kdes, grid, vals)
+            post = ProductPosterior.from_product(kdes, grid, rows[:, r])
         except DegenerateProduct:
             out.append(None)
             continue
@@ -201,16 +195,6 @@ def _ise_columns(
     ]
 
 
-def _mean_stderr(column: Sequence[float | None]) -> tuple[float, float]:
-    """Mean and standard error of the non-degenerate ISEs in one column."""
-    vals = np.array([v for v in column if v is not None])
-    if vals.size < 2:
-        raise DegenerateMajority(
-            f"{vals.size} of {len(column)} replications usable; a standard error needs 2"
-        )
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
-
-
 @dataclass(frozen=True)
 class MiseEstimate:
     mise: float
@@ -219,17 +203,26 @@ class MiseEstimate:
 
 
 def _mise_estimate(column: Sequence[float | None]) -> MiseEstimate:
-    """MISE estimate from one column of replication ISEs."""
+    """Mean and standard error of the non-degenerate ISEs in one column of
+    replications; the one rule for columns with degenerate products."""
     replications = len(column)
-    degenerate = column.count(None)
+    vals = np.array([v for v in column if v is not None])
+    degenerate = replications - vals.size
     if degenerate:
         warnings.warn(f"{degenerate}/{replications} degenerate replications excluded")
     if degenerate > replications // 2:
         raise DegenerateMajority(
             f"{degenerate} of {replications} replications degenerate"
         )
-    mise, stderr = _mean_stderr(column)
-    return MiseEstimate(mise=mise, stderr=stderr, degenerate_count=degenerate)
+    if vals.size < 2:
+        raise DegenerateMajority(
+            f"{vals.size} of {replications} replications usable; a standard error needs 2"
+        )
+    return MiseEstimate(
+        mise=float(vals.mean()),
+        stderr=float(vals.std(ddof=1) / math.sqrt(vals.size)),
+        degenerate_count=degenerate,
+    )
 
 
 def estimate_mise(
@@ -292,16 +285,13 @@ def _sweep_rows(model: AnalyticModel, h_values) -> tuple[np.ndarray, list[tuple]
 
 def _curve(h_values: np.ndarray, columns: Sequence[Sequence[float | None]]) -> MiseCurve:
     """MISE curve from the replication ISEs of each sweep bandwidth."""
-    rows = []
-    for h, column in zip(h_values, columns):
-        mise, stderr = _mean_stderr(column)
-        rows.append((float(h), mise, stderr))
-    mises = np.array([m for _, m, _ in rows])
+    estimates = [_mise_estimate(column) for column in columns]
+    mises = np.array([est.mise for est in estimates])
     return MiseCurve(
-        rows=rows,
+        rows=[(float(h), est.mise, est.stderr) for h, est in zip(h_values, estimates)],
         argmin_h=_refine_argmin(h_values, mises),
         argmin_mise=float(mises.min()),
-        degenerate_count=sum(column.count(None) for column in columns),
+        degenerate_count=sum(est.degenerate_count for est in estimates),
     )
 
 

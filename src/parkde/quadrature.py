@@ -122,11 +122,10 @@ def default_grid(
     samples: Sequence[float],
     bandwidths: Sequence[float],
     n_points: int = 4001,
-    pad: float = 5.0,
 ) -> Grid:
-    """Integration window for KDE work: pooled range padded by pad * (max h + sd)."""
+    """Integration window for KDE work: pooled range padded by 5 (max h + sd)."""
     x = np.asarray(samples, dtype=float)
     h = float(np.max(np.asarray(bandwidths, dtype=float)))
     sd = float(np.std(x)) if x.size > 1 else 1.0
-    margin = pad * h + pad * sd
+    margin = 5.0 * h + 5.0 * sd
     return Grid(float(x.min()) - margin, float(x.max()) + margin, n_points)

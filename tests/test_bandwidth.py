@@ -16,7 +16,6 @@ from parkde.amise import (
 )
 from parkde.bandwidth import (
     GammaDomain,
-    OptimizerOptions,
     _newton,
     ab_constants,
     h_opt_gamma,
@@ -291,8 +290,7 @@ class TestOptimizeBandwidth:
         nu = rng.uniform(0.5, 2.0, M)
         co = AmiseCoefficients(beta, nu, M)
         h0 = rng.uniform(0.5, 1.5, M)
-        opts = OptimizerOptions()
-        h1, *_ = _newton(co, h0, opts)
+        h1, *_ = _newton(co, h0)
         assert amise_hat(co, h1) <= amise_hat(co, h0) + 1e-15
 
     @pytest.mark.parametrize("M", [1, 4])
@@ -343,26 +341,24 @@ class TestOptimizeBandwidth:
     def test_descent_stop_reasons(self):
         # 4 b h^3 - nu / h^2 vanishes at h = 1 for b = 1/4, nu = 1
         flat = AmiseCoefficients(np.array([[0.25]]), np.array([1.0]), 1)
-        h, f, record = _newton(flat, np.array([1.0]), OptimizerOptions())
+        h, f, record = _newton(flat, np.array([1.0]))
         assert (h[0], f, record) == (1.0, 1.25, (0.0, 0.0, 0, "zero-gradient", 0, 0))
 
         rng = np.random.default_rng(8)
         beta = rng.normal(0, 1, (3, 3))
         co = AmiseCoefficients(beta @ beta.T, rng.uniform(0.5, 2.0, 3), 3)
         h0 = rng.uniform(0.5, 1.5, 3)
-        h, f, (gnorm, step, backtracks, stop, steps, _) = _newton(
-            co, h0, OptimizerOptions(descent_steps_per_iter=2)
-        )
+        h, f, (gnorm, step, backtracks, stop, steps, _) = _newton(co, h0, max_steps=2)
         assert stop == "step-cap" and steps == 2 and step > 0.0 and gnorm > 0.0
         assert f == amise_hat(co, h) < amise_hat(co, h0)
-        _, _, record = _newton(co, h0, OptimizerOptions(descent_steps_per_iter=0))
+        _, _, record = _newton(co, h0, max_steps=0)
         assert math.isnan(record[0]) and record[1:] == (0.0, 0, "step-cap", 0, 0)
-        _, _, record = _newton(co, h0, OptimizerOptions(), tol=1e-3)
+        _, _, record = _newton(co, h0, tol=1e-3)
         assert record[3] == "step<tol" and record[1] < 1e-3
 
         # the gradient overflows at h = 1e110, so every trial point is nan
         with np.errstate(all="ignore"):
-            h, f, record = _newton(co, np.full(3, 1e110), OptimizerOptions())
+            h, f, record = _newton(co, np.full(3, 1e110))
         assert record[2:4] == (60, "line-search-failed") and f == math.inf
         np.testing.assert_array_equal(h, np.full(3, 1e110))
 
@@ -371,7 +367,7 @@ class TestOptimizeBandwidth:
         # negative off-diagonal entry makes the Hessian in log h indefinite
         co = AmiseCoefficients(np.array([[1.0, -0.9], [-0.9, 1.0]]), np.array([1e-3, 1e-3]), 2)
         h0 = np.array([0.05, 2.0])
-        h, f, (_, _, _, stop, steps, fallbacks) = _newton(co, h0, OptimizerOptions(), tol=1e-6)
+        h, f, (_, _, _, stop, steps, fallbacks) = _newton(co, h0, tol=1e-6)
         assert fallbacks >= 1 and steps > fallbacks
         assert stop == "step<tol" and f < amise_hat(co, h0)
         assert float(np.linalg.norm(amise_hat_grad(co, h))) < 1e-3
@@ -379,25 +375,29 @@ class TestOptimizeBandwidth:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"descent_steps_per_iter": -1},
             {"tol": 0.0},
             {"tol": -1.0},
             {"tol": math.nan},
             {"tol": math.inf},
+            {"tol": -math.inf},
         ],
     )
     def test_options_reject_invalid_values(self, kwargs):
+        subs = self.normal_subsets(2, 100, 2)
         with pytest.raises(ValueError):
-            OptimizerOptions(**kwargs)
+            optimize_bandwidth(subs, grid=Grid(-4, 4, 101), **kwargs)
 
     def test_refit_loop_is_gone(self):
         # the optimizer fits its surrogate once; there is no fit count to set
+        subs = self.normal_subsets(2, 100, 2)
         with pytest.raises(TypeError):
-            OptimizerOptions(max_outer_iters=1)
+            optimize_bandwidth(subs, max_outer_iters=1)
 
     def test_requires_smooth_kernel(self):
+        # the surrogate needs KDE curvatures, so the optimizer always fits
+        # Gaussian KDEs and takes no kernel
         subs = self.normal_subsets(2, 100, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             optimize_bandwidth(subs, kernel=from_name("epanechnikov"))
 
     def test_requires_subsets(self):
@@ -439,9 +439,7 @@ def test_newton_iterates_stay_finite_positive_and_descend(M, seed, nu_exp, scale
     tol = 1e-4 * float(np.linalg.norm(h0))
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="raise"):
         mp.setattr(bandwidth, "_surrogate", recording)
-        h, f, (gnorm, step, backtracks, stop, steps, fallbacks) = _newton(
-            co, h0, OptimizerOptions(), tol
-        )
+        h, f, (gnorm, step, backtracks, stop, steps, fallbacks) = _newton(co, h0, tol)
     # every trial point, and so every iterate, is finite and positive
     for x in trials:
         assert np.isfinite(x).all() and (x > 0).all()

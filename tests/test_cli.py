@@ -172,9 +172,9 @@ class TestOptimize:
         seen = []
         real = cli.optimize_bandwidth
 
-        def spy(subsets, kernel=None, opts=None, grid=None):
+        def spy(subsets, grid=None, tol=None):
             seen.append(grid)
-            return real(subsets, kernel, opts, grid=grid)
+            return real(subsets, grid=grid, tol=tol)
 
         monkeypatch.setattr(cli, "optimize_bandwidth", spy)
         assert main(["optimize", "--subsets", str(subset_dir), "--grid-points", "101"]) == EXIT_OK
@@ -188,12 +188,12 @@ class TestOptimize:
         assert main(argv) == EXIT_CONFIG
         assert not (tmp_path / "o.csv").exists()
 
-    def test_epanechnikov_rejected(self, subset_dir, tmp_path):
-        code = main([
-            "optimize", "--subsets", str(subset_dir),
-            "--kernel", "epanechnikov",
-        ])
-        assert code == EXIT_CONFIG
+    def test_epanechnikov_rejected(self, subset_dir, capsys):
+        # the optimizer always fits Gaussian KDEs; --kernel is an unknown flag
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--subsets", str(subset_dir), "--kernel", "epanechnikov"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--kernel" in capsys.readouterr().err
 
 
 class TestMiseSweep:
@@ -317,6 +317,27 @@ class TestExperimentAndReport:
             "--workers", workers, "--output-dir", str(tmp_path / "out"),
         ])
         assert code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_fewer_than_one_outer_repeat_is_config_error(self, tmp_path, repeats):
+        # no repeat would leave nan in ratio.csv
+        code = main([
+            "experiment", "--family", "normal", "-M", "2", "--n", "60",
+            "--replications", "6", "--sweep-count", "5", "--seed", "1",
+            "--outer-repeats", repeats, "--output-dir", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_sample_size_list_is_config_error(self, tmp_path):
+        # no sample size would leave CSVs holding only their headers
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "family": "normal", "M": 2, "n_per_subset": [], "replications": 6,
+            "sweep_count": 5, "output_dir": str(tmp_path / "out"),
+        }))
+        assert main(["experiment", "--config", str(cfg_path), "--seed", "1"]) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path):

@@ -8,7 +8,6 @@ from parkde.estimators import (
     AnalyticModel,
     DegenerateProduct,
     SubsetSample,
-    eval_product,
     fit_subset_kde,
     kde_rows,
     normalize,
@@ -161,9 +160,11 @@ class TestProduct:
     def test_product_is_componentwise_product(self):
         rng = np.random.default_rng(3)
         kdes = [kde_of(rng.normal(0, 1, 40), 0.35) for _ in range(3)]
+        post = normalize(kdes, Grid(-5, 5, 1001))
         x = np.linspace(-1.5, 1.5, 11)
         expected = kdes[0](x) * kdes[1](x) * kdes[2](x)
-        np.testing.assert_allclose(eval_product(kdes, x), expected, rtol=1e-13)
+        np.testing.assert_allclose(post.posterior(x) * post.lambda_hat, expected, rtol=1e-13)
+        assert post.posterior(x[5]) * post.lambda_hat == pytest.approx(expected[5], rel=1e-13)
 
     def test_normalized_product_integrates_to_one(self):
         rng = np.random.default_rng(4)
@@ -172,7 +173,6 @@ class TestProduct:
         post = normalize(kdes, g)
         assert integrate_values(post.values, g.spacing) == pytest.approx(1.0, abs=1e-9)
         assert post.c_hat == pytest.approx(1.0 / post.lambda_hat)
-        assert post.n_subsets == 4
 
     def test_stored_grid_values_match_posterior(self):
         # values come from the binned grid rows, posterior(x) from the exact sum
@@ -207,34 +207,36 @@ class TestAnalyticModel:
         np.testing.assert_allclose(m.posterior(x), expected, rtol=1e-12)
 
     def test_normal_lambda_closed_form(self):
+        # the mass normalize forms for M copies of the subset density, against
+        # int N(0, s)^M = (2 pi s^2)^((1 - M) / 2) / sqrt(M)
         for M in (1, 2, 4, 8):
             m = AnalyticModel.normal(0.0, 1.3, M)
-            g = Grid(-9, 9, 8001)
-            lam_quad = integrate(lambda x: m.subset(x) ** M, g)
-            assert m.lam == pytest.approx(lam_quad, rel=1e-9)
-            assert m.c == pytest.approx(1.0 / lam_quad, rel=1e-9)
+            post = normalize([m.subset] * M, Grid(-9, 9, 8001))
+            lam = (2.0 * math.pi * 1.3**2) ** ((1 - M) / 2.0) / math.sqrt(M)
+            assert post.lambda_hat == pytest.approx(lam, rel=1e-9)
+            assert post.c_hat == pytest.approx(1.0 / lam, rel=1e-9)
 
     def test_gamma_lambda_against_quadrature(self):
+        # the posterior is p1^M / lambda, so p1(x)^M / posterior(x) is lambda
         m = AnalyticModel.gamma(3.0, 3.0, 4)
-        g = Grid(1e-9, 60.0, 20001)
-        lam_quad = integrate(lambda x: m.subset(x) ** 4, g)
-        assert m.lam == pytest.approx(lam_quad, rel=1e-8)
+        post = normalize([m.subset] * 4, Grid(1e-9, 60.0, 20001))
+        lam = m.subset(5.0) ** 4 / m.posterior(5.0)
+        assert post.lambda_hat == pytest.approx(lam, rel=1e-8)
 
     def test_gamma_posterior_is_normalized_product(self):
         m = AnalyticModel.gamma(3.0, 2.0, 3)
+        lam = integrate(lambda x: m.subset(x) ** 3, Grid(1e-9, 60.0, 20001))
         x = np.linspace(0.5, 12.0, 40)
-        np.testing.assert_allclose(
-            m.posterior(x), m.c * m.product(x), rtol=1e-9
-        )
+        np.testing.assert_allclose(m.posterior(x), m.subset(x) ** 3 / lam, rtol=1e-9)
 
-    def test_product_derivatives_match_finite_differences(self):
+    def test_subset_derivatives_match_finite_differences(self):
         for m in (AnalyticModel.normal(0.0, 1.0, 3), AnalyticModel.gamma(3.0, 3.0, 2)):
             x0 = 1.7
             eps = 1e-5
-            fd1 = (m.product(x0 + eps) - m.product(x0 - eps)) / (2 * eps)
-            fd2 = (m.product(x0 + eps) - 2 * m.product(x0) + m.product(x0 - eps)) / eps**2
-            assert m.product(x0, 1) == pytest.approx(fd1, rel=1e-7)
-            assert m.product(x0, 2) == pytest.approx(fd2, rel=1e-4)
+            fd1 = (m.subset(x0 + eps) - m.subset(x0 - eps)) / (2 * eps)
+            fd2 = (m.subset(x0 + eps) - 2 * m.subset(x0) + m.subset(x0 - eps)) / eps**2
+            assert m.subset(x0, 1) == pytest.approx(fd1, rel=1e-7)
+            assert m.subset(x0, 2) == pytest.approx(fd2, rel=1e-4)
 
     def test_gamma_pdf_rejects_negative_argument(self):
         m = AnalyticModel.gamma(3.0, 1.0, 1)
@@ -261,5 +263,7 @@ class TestAnalyticModel:
     def test_density_methods_agree(self):
         m = AnalyticModel.normal(0.0, 1.0, 2)
         assert m.subset(0.3) == pytest.approx(math.exp(-0.045) / math.sqrt(2 * math.pi), rel=1e-15)
-        assert m.product(0.3) == m.subset(0.3) ** 2
-        assert m.posterior(0.3) == pytest.approx(m.c * m.product(0.3), rel=1e-12)
+        # M = 2 unit normals multiply to a mass of 1 / (2 sqrt(pi))
+        assert m.posterior(0.3) == pytest.approx(
+            m.subset(0.3) ** 2 * 2.0 * math.sqrt(math.pi), rel=1e-12
+        )

@@ -7,11 +7,12 @@ import pytest
 
 from parkde.estimators import AnalyticModel
 from parkde.harness import (
+    DegenerateMajority,
     ExperimentConfig,
+    _curve,
     closed_form_h,
     default_model_grid,
     estimate_mise,
-    ise,
     run_experiment,
     sample_model,
     sweep_bandwidth,
@@ -23,53 +24,32 @@ NORMAL4 = AnalyticModel.normal(0.0, 1.0, 4)
 
 class TestSampleModel:
     def test_same_seed_is_bitwise_identical(self):
-        a = sample_model(NORMAL4, 4, 100, seed=5)
-        b = sample_model(NORMAL4, 4, 100, seed=5)
+        a = sample_model(NORMAL4, 100, seed=5)
+        b = sample_model(NORMAL4, 100, seed=5)
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.values, sb.values)
 
     def test_subsets_are_distinct_streams(self):
-        subs = sample_model(NORMAL4, 4, 100, seed=5)
+        subs = sample_model(NORMAL4, 100, seed=5)
         assert not np.array_equal(subs[0].values, subs[1].values)
 
     def test_pooled_mean_near_zero(self):
-        subs = sample_model(NORMAL4, 4, 1000, seed=11)
+        subs = sample_model(NORMAL4, 1000, seed=11)
         pooled = np.concatenate([s.values for s in subs])
         # ~4 sigma CLT band around the true mean
         assert abs(pooled.mean()) < 4.0 / math.sqrt(4000)
 
     def test_gamma_samples_positive(self):
         m = AnalyticModel.gamma(3.0, 3.0, 2)
-        subs = sample_model(m, 2, 500, seed=1)
+        subs = sample_model(m, 500, seed=1)
         for s in subs:
             assert (s.values > 0).all()
 
     def test_requires_seed_and_samples(self):
         with pytest.raises(ValueError):
-            sample_model(NORMAL4, 4, 0, seed=1)
+            sample_model(NORMAL4, 0, seed=1)
         with pytest.raises(ValueError):
-            sample_model(NORMAL4, 4, 10, seed=None)
-
-
-class TestIse:
-    def test_identical_densities_give_zero(self):
-        g = Grid(-5, 5, 1001)
-        f = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-        assert ise(f, f, g) == 0.0
-
-    def test_unit_offset_on_unit_window(self):
-        g = Grid(0.0, 1.0, 1001)
-        f = lambda x: np.exp(-x)
-        shifted = lambda x: f(x) + 1.0
-        assert ise(f, shifted, g) == pytest.approx(1.0, abs=1e-12)
-
-    def test_shifted_normal_closed_form(self):
-        # int (phi(x) - phi(x - d))^2 dx = (1 - exp(-d^2/4)) / sqrt(pi)
-        d = 0.1
-        g = Grid(-9, 9, 20001)
-        phi = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-        expected = (1.0 - math.exp(-d * d / 4.0)) / math.sqrt(math.pi)
-        assert ise(phi, lambda x: phi(x - d), g) == pytest.approx(expected, rel=1e-8)
+            sample_model(NORMAL4, 10, seed=None)
 
 
 class TestEstimateMise:
@@ -126,6 +106,18 @@ class TestSweep:
         assert hs.min() <= curve.argmin_h <= hs.max()
         assert curve.argmin_mise == min(r[1] for r in curve.rows)
 
+    def test_curve_applies_the_degenerate_majority_rule(self):
+        # sweep rows follow estimate_mise's rule: a column with degenerate
+        # replications warns, and one with a majority of them raises
+        hs = np.linspace(0.1, 0.5, 5)
+        ok = [0.1, 0.2, 0.3, 0.4, 0.5]
+        with pytest.warns(UserWarning):
+            curve = _curve(hs, [[None, 0.2, 0.3, 0.4, 0.5]] + [ok] * 4)
+        assert curve.degenerate_count == 1
+        assert curve.rows[0][1] == pytest.approx(0.35)
+        with pytest.warns(UserWarning), pytest.raises(DegenerateMajority):
+            _curve(hs, [[None, None, None, 0.4, 0.5]] + [ok] * 4)
+
     def test_undersmoothing_hurts(self):
         g = Grid(-4, 4, 301)
         hs = [0.02, 0.2, 0.3, 0.4, 0.55]
@@ -163,6 +155,10 @@ class TestConfig:
             ExperimentConfig(replications=0)
         with pytest.raises(ValueError):
             ExperimentConfig(sweep_lo=2.0, sweep_hi=1.0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(outer_repeats=0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(n_per_subset=[])
 
     def test_grid_bounds_come_as_a_pair(self):
         with pytest.raises(ValueError):

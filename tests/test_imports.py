@@ -1,4 +1,5 @@
-"""No module imports a name it never uses, and the package needs only numpy.
+"""No module imports a name it never uses, every public function has a
+caller outside the tests, and the package needs only numpy.
 
 No linter ships with the project, so this parses the package modules and
 the test files and compares the names each one imports with the names it
@@ -7,8 +8,10 @@ reads. The package's __init__.py is skipped: its imports are re-exports.
 
 import ast
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,77 @@ def test_scan_flags_only_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Public names that only tests read: the references that tests compare
+# against and the subjects of acceptance criteria, each with what needs it.
+ORACLES = {
+    "parzen_h_m1": "criterion 02",
+    "estimate_mise": "criteria 07 and 08",
+    "Kernel.autocorrelation": "criterion 06",
+    "gradient_fd": "criterion 11",
+    "amise_hat_grad": "criterion 11",
+    "amise_product": "test_amise's four-term oracle",
+    "bias_leading": "test_amise's four-term oracle",
+    "variance_leading": "test_amise's four-term oracle",
+    "integrate": "quadrature reference in test_quadrature and test_estimators",
+    "Kernel.moment": "kernel moment checks in test_kernels",
+}
+
+
+def reads(tree: ast.AST) -> Counter:
+    """How often each name is read as an ast.Name or an ast.Attribute."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out[node.attr] += 1
+    return out
+
+
+def public_defs(tree: ast.Module):
+    """(qualified name, node) of each public function and public method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unread_defs(package: list[str], others: list[str] = ()) -> list[str]:
+    """Public defs of the package sources that neither the package nor the
+    other sources read anywhere but inside their own definition."""
+    trees = [ast.parse(source) for source in package]
+    total = sum((reads(t) for t in trees + [ast.parse(s) for s in others]), Counter())
+    return [
+        name
+        for tree in trees
+        for name, node in public_defs(tree)
+        if total[node.name] == reads(node)[node.name]
+    ]
+
+
+def test_surface_scan_flags_only_unread_defs():
+    src = (
+        "def a():\n    return a()\n"
+        "def b(): pass\n"
+        "class C:\n    def m(self): pass\n    def _p(self): pass\n"
+        "x = [b, 'C.m']\n"
+    )
+    assert unread_defs([src]) == ["a", "C.m"]
+    assert unread_defs([src], ["obj.m"]) == ["a"]
+
+
+def test_public_functions_have_callers_outside_tests():
+    package = [p.read_text() for p in sorted((ROOT / "src" / "parkde").glob("*.py"))]
+    others = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    others += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    unread = unread_defs(package, others)
+    assert sorted(set(unread) - set(ORACLES)) == []
+    assert sorted(set(ORACLES) - set(unread)) == []  # no entry outlives its need
 
 
 def test_package_imports_no_scipy():
