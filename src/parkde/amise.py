@@ -12,7 +12,8 @@ p = c prod_m p_m it is sum_ij h_i^2 h_j^2 beta_ij + sum_i nu_i / h_i, where
 
 I_i = int q_i, T_i = int q_i p, U_ij = int q_i q_j and S = int p^2 (Wand &
 Jones 1995, section 3.6). `_coefficients` alone forms beta and nu;
-`amise_bar` is `amise_hat` of its coefficients for the true densities.
+`amise_bar` is `amise_hat` of its coefficients for the true densities. K is
+the Gaussian kernel, the only one whose estimates have the curvatures p''.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import AnalyticModel, ProductPosterior, grid_rows
-from .kernels import Kernel, from_name
+from .estimators import AnalyticModel, ProductPosterior, _product, grid_rows
+from .kernels import from_name
 from .quadrature import Grid, integrate_values, simpson_weights
 
 DensityProvider = Callable[..., np.ndarray]
@@ -58,9 +59,10 @@ def _prod_except(P: np.ndarray) -> np.ndarray:
     return L
 
 
-def _leading(P: np.ndarray, Pdd: np.ndarray, N, h, kernel: Kernel):
+def _leading(P: np.ndarray, Pdd: np.ndarray, N, h):
     """Pointwise leading bias and variance of the product estimator from the
     subset densities P and curvatures Pdd (each M x points)."""
+    kernel = from_name("gaussian")
     L = _prod_except(P)
     h = np.asarray(h, dtype=float)
     bias = 0.5 * kernel.k2 * (h**2 @ (Pdd * L))
@@ -68,48 +70,42 @@ def _leading(P: np.ndarray, Pdd: np.ndarray, N, h, kernel: Kernel):
     return bias, kernel.roughness * (weights @ (P * L * L))
 
 
-def _leading_at(densities, N, h, x, kernel: Kernel | None):
+def _leading_at(densities, N, h, x):
     densities = _providers(densities)
     P, Pdd = _density_table(densities, x, 0), _density_table(densities, x, 2)
-    bias, variance = _leading(P, Pdd, N, h, kernel or from_name("gaussian"))
+    bias, variance = _leading(P, Pdd, N, h)
     return (float(bias), float(variance)) if bias.ndim == 0 else (bias, variance)
 
 
-def bias_leading(densities, h: Sequence[float], x, kernel: Kernel | None = None):
+def bias_leading(densities, h: Sequence[float], x):
     """Leading bias of the product estimator at x (unscaled by c)."""
-    return _leading_at(densities, np.ones(len(h)), h, x, kernel)[0]
+    return _leading_at(densities, np.ones(len(h)), h, x)[0]
 
 
-def variance_leading(
-    densities, N: Sequence[int], h: Sequence[float], x, kernel: Kernel | None = None
-):
+def variance_leading(densities, N: Sequence[int], h: Sequence[float], x):
     """Leading variance of the product estimator at x (includes int K^2)."""
-    return _leading_at(densities, N, h, x, kernel)[1]
+    return _leading_at(densities, N, h, x)[1]
 
 
-def amise_product(
-    source, N: Sequence[int], h: Sequence[float], grid: Grid, kernel: Kernel | None = None
-) -> float:
+def amise_product(source, N: Sequence[int], h: Sequence[float], grid: Grid) -> float:
     """Leading-order mean integrated squared error of the raw product.
 
     A model's one subset density and curvature are evaluated once
     (`_grid_tables`).
     """
     P, Pdd = _grid_tables(source, grid)
-    b, v = _leading(P, Pdd, N, h, kernel or from_name("gaussian"))
+    b, v = _leading(P, Pdd, N, h)
     return integrate_values(b * b, grid.spacing) + integrate_values(v, grid.spacing)
 
 
-def amise_bar(
-    source, N: Sequence[int], h: Sequence[float], grid: Grid, kernel: Kernel | None = None
-) -> float:
+def amise_bar(source, N: Sequence[int], h: Sequence[float], grid: Grid) -> float:
     """Leading-order weighted error of the normalized posterior estimator.
 
     Feeds the coefficient builder the true densities of source (a model, or
     a list of density callables) and their second derivatives on the grid,
     with sample sizes N, and evaluates the surrogate at h.
     """
-    return amise_hat(_source_coefficients(source, N, grid, kernel), h)
+    return amise_hat(_coefficients(source, N, grid), h)
 
 
 @dataclass(frozen=True)
@@ -133,15 +129,20 @@ class AmiseCoefficients:
         object.__setattr__(self, "nu", nu)
 
 
-def _coefficients(
-    P: np.ndarray, Pdd: np.ndarray, N, post: ProductPosterior, kernel: Kernel
-) -> AmiseCoefficients:
-    """beta and nu from the densities P and curvatures Pdd (each M x G) on
-    post.grid; the one place the error functional's coefficients are formed."""
+def _coefficients(source, N, grid: Grid) -> AmiseCoefficients:
+    """beta and nu for a model, density callables or subset KDEs on grid;
+    the one place the error functional's coefficients are formed.
+
+    Each component is evaluated on the grid once, for its values and
+    curvatures together, and the product p and c come from the same values.
+    """
+    P, Pdd = _grid_tables(source, grid)
+    lam, values = _product(P, grid)
     if not (np.isfinite(P).all() and np.isfinite(Pdd).all()):
         raise ValueError("non-finite density or curvature values on the grid")
-    c = post.c_hat
-    w = simpson_weights(post.grid.n_points, post.grid.spacing)
+    kernel = from_name("gaussian")
+    c = 1.0 / lam
+    w = simpson_weights(grid.n_points, grid.spacing)
     L = _prod_except(P)
     nu = c**2 * kernel.roughness / np.asarray(N, dtype=float)
     nu = nu * np.einsum("mg,mg,mg,g->m", P, L, L, w)
@@ -149,7 +150,7 @@ def _coefficients(
     root_w = np.sqrt(w)
     Q = np.multiply(L, Pdd, out=L)
     Q *= root_w
-    p = post.values * root_w
+    p = values * root_w
     I = Q @ root_w
     T = Q @ p
     U = Q @ Q.T
@@ -168,35 +169,20 @@ def _grid_tables(source, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([grid_rows(f, grid, (0, 2)) for f in _providers(source)], axis=1)
 
 
-def _source_coefficients(
-    source, N, grid: Grid, kernel: Kernel | None = None
-) -> AmiseCoefficients:
-    """Coefficients for a model, density callables or subset KDEs on grid.
-
-    Each component is evaluated on the grid once, for its values and
-    curvatures together, and the posterior is formed from the same values.
-    """
-    P, Pdd = _grid_tables(source, grid)
-    post = ProductPosterior.from_product(_providers(source), grid, P)
-    return _coefficients(P, Pdd, N, post, kernel or from_name("gaussian"))
-
-
 def empirical_coefficients(
     post: ProductPosterior, grid: Grid | None = None
 ) -> AmiseCoefficients:
     """Plug-in surrogate coefficients from fitted subset KDEs.
 
     Feeds the coefficient builder the KDEs' values and curvatures on
-    post.grid, their sample sizes and post's normalization in place of the
-    true densities and c. Needs Gaussian components (second derivatives
-    enter); grid, if given, must equal post.grid.
+    post.grid and their sample sizes in place of the true densities. Needs
+    Gaussian components (second derivatives enter); grid, if given, must
+    equal post.grid.
     """
     if grid is not None and grid != post.grid:
         raise ValueError(f"coefficients are taken on post.grid {post.grid}, not {grid}")
-    comps = post.components
-    P, Pdd = _grid_tables(comps, post.grid)
-    N = [kde.sample.size for kde in comps]
-    return _coefficients(P, Pdd, N, post, comps[0].kernel)
+    N = [kde.sample.size for kde in post.components]
+    return _coefficients(post.components, N, post.grid)
 
 
 def _check_h(coeffs: AmiseCoefficients, h) -> np.ndarray:

@@ -8,14 +8,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .amise import (
-    AmiseCoefficients,
-    _check_h,
-    _source_coefficients,
-    _surrogate,
-)
+from .amise import AmiseCoefficients, _check_h, _coefficients, _surrogate
 from .estimators import AnalyticModel, SubsetSample, fit_subset_kde
-from .kernels import Kernel, from_name
+from .kernels import from_name
 from .quadrature import Grid, default_grid
 
 
@@ -49,15 +44,13 @@ def h_opt_symmetric(n: int, A: float, B: float) -> float:
     return (4.0 * n) ** (-0.2) * (B / A) ** 0.2
 
 
-def ab_constants(
-    model: AnalyticModel, grid: Grid, kernel: Kernel | None = None
-) -> tuple[float, float]:
+def ab_constants(model: AnalyticModel, grid: Grid) -> tuple[float, float]:
     """Symmetric-case constants A(M), B(M) of M A h^4 + M B / (n h).
 
     Feeds the coefficient builder the model's subset densities with unit
     sample sizes: A is the sum of beta over M and B the mean of nu.
     """
-    coeffs = _source_coefficients(model, np.ones(model.M), grid, kernel)
+    coeffs = _coefficients(model, np.ones(model.M), grid)
     return float(coeffs.beta.sum()) / model.M, float(coeffs.nu.mean())
 
 
@@ -270,7 +263,7 @@ def optimize_bandwidth(
 
     kernel = from_name("gaussian")
     kdes = [fit_subset_kde(s, hv, kernel) for s, hv in zip(subsets, h0)]
-    coeffs = _source_coefficients(kdes, [s.size for s in subsets], grid, kernel)
+    coeffs = _coefficients(kdes, [s.size for s in subsets], grid)
     h, obj, record = _newton(coeffs, h0, tol)
     converged = record[3] in _CONVERGED
     return OptimizeResult(h, converged, 1, obj, trace=[(1, h.copy(), obj, *record)])

@@ -117,11 +117,9 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--sweep-hi", dest="sweep_hi", type=float)
     p.add_argument("--sweep-count", dest="sweep_count", type=int)
     p.add_argument("--replications", type=int)
-    p.add_argument("--outer-repeats", dest="outer_repeats", type=int)
     p.add_argument("--grid-lo", dest="grid_lo", type=float)
     p.add_argument("--grid-hi", dest="grid_hi", type=float)
     p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-    p.add_argument("--output-dir", dest="output_dir")
     p.add_argument("--workers", type=int)
 
 
@@ -160,6 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="full experiment: MISE vs n and ratio tables")
     _add_config_flags(p_exp)
+    p_exp.add_argument("--outer-repeats", dest="outer_repeats", type=int)
+    p_exp.add_argument("--output-dir", dest="output_dir")
     p_exp.add_argument("--seed", type=int, required=True)
 
     p_rep = sub.add_parser("report", help="summarize experiment CSVs")

@@ -152,6 +152,23 @@ def fit_subset_kde(sample: SubsetSample, h: float, kernel: Kernel) -> SubsetKde:
     return SubsetKde(sample, float(h), kernel)
 
 
+def _product(rows: np.ndarray, grid: Grid) -> tuple[float, np.ndarray]:
+    """Multiply the (M, G) rows of M densities on grid and normalize the
+    product: its mass lambda and the normalized values. The one place a
+    product is formed and its mass integrated and checked."""
+    vals = np.prod(rows, axis=0)
+    lam = vals @ simpson_weights(grid.n_points, grid.spacing)
+    if not math.isfinite(lam):
+        raise DegenerateProduct(
+            f"product mass is {lam}; the product of the subset densities overflowed"
+        )
+    if lam <= DEGENERATE_LAMBDA:
+        raise DegenerateProduct(
+            f"product mass {lam!r} underflowed; subset supports nearly disjoint"
+        )
+    return lam, vals / lam
+
+
 @dataclass(frozen=True)
 class ProductPosterior:
     """Normalized product of subset KDEs with its mass and values on a grid.
@@ -176,25 +193,6 @@ class ProductPosterior:
         vals = self.c_hat * np.prod([c(x.reshape(-1)) for c in self.components], axis=0)
         return float(vals[0]) if x.ndim == 0 else vals
 
-    @classmethod
-    def from_product(
-        cls, components: Sequence, grid: Grid, rows: np.ndarray
-    ) -> "ProductPosterior":
-        """Multiply the components' (M, G) rows on grid and normalize the
-        product; the one place a product is formed and its mass integrated
-        and checked."""
-        vals = np.prod(rows, axis=0)
-        lam = vals @ simpson_weights(grid.n_points, grid.spacing)
-        if not math.isfinite(lam):
-            raise DegenerateProduct(
-                f"product mass is {lam}; the product of the subset densities overflowed"
-            )
-        if lam <= DEGENERATE_LAMBDA:
-            raise DegenerateProduct(
-                f"product mass {lam!r} underflowed; subset supports nearly disjoint"
-            )
-        return cls(tuple(components), grid, lam, vals / lam)
-
 
 def grid_rows(component, grid: Grid, derivs: Sequence[int] = (0,)) -> np.ndarray:
     """A density component's derivatives of the given orders at grid.points.
@@ -208,12 +206,13 @@ def grid_rows(component, grid: Grid, derivs: Sequence[int] = (0,)) -> np.ndarray
 
 
 def normalize(components: Sequence[SubsetKde], grid: Grid) -> ProductPosterior:
-    """Integrate the product on the grid and wrap it as a density.
+    """Integrate the product on the grid and wrap it as a density; the one
+    place a `ProductPosterior` is built.
 
     Components are subset KDEs or other density callables (see `grid_rows`).
     """
     rows = np.stack([grid_rows(c, grid)[0] for c in components])
-    return ProductPosterior.from_product(components, grid, rows)
+    return ProductPosterior(tuple(components), grid, *_product(rows, grid))
 
 
 @dataclass(frozen=True)
@@ -263,11 +262,11 @@ class AnalyticModel:
 
     # -- normalized posterior -------------------------------------------
 
-    def posterior(self, x, deriv: int = 0):
+    def posterior(self, x):
         if self.family == NORMAL_FAMILY:
-            return _normal_pdf(x, self.mu, self.sigma / math.sqrt(self.M), deriv)
+            return _normal_pdf(x, self.mu, self.sigma / math.sqrt(self.M), 0)
         shape = self.M * (self.alpha - 1.0) + 1.0
-        return _gamma_pdf(x, shape, self.theta / self.M, deriv)
+        return _gamma_pdf(x, shape, self.theta / self.M, 0)
 
     def sample_subset(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.family == NORMAL_FAMILY:

@@ -23,14 +23,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .bandwidth import h_opt_gamma, h_opt_normal
-from .estimators import (
-    AnalyticModel,
-    DegenerateProduct,
-    ProductPosterior,
-    SubsetSample,
-    fit_subset_kde,
-    kde_rows,
-)
+from .estimators import AnalyticModel, DegenerateProduct, SubsetSample, _product, kde_rows
 from .kernels import from_name
 from .quadrature import Grid, integrate_values
 
@@ -65,8 +58,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        if self.replications < 2:
+            raise ValueError("replications must be >= 2 for a standard error")
         if self.outer_repeats < 1:
             raise ValueError("outer_repeats must be >= 1")
         if not self.n_per_subset:
@@ -149,20 +142,19 @@ def _replication(job) -> list[float | None]:
     kernel = from_name("gaussian")
     samples = sample_model(model, n, seed, outer, rep)
     truth = np.asarray(model.posterior(grid.points), dtype=float)
-    products = [[fit_subset_kde(s, h, kernel) for s, h in zip(samples, row)] for row in h_rows]
     # (M, R, G): per subset, its KDE row at each h row's bandwidth
     rows = np.stack([
-        kde_rows(s, [kdes[m].bandwidth for kdes in products], kernel, grid)[:, 0]
+        kde_rows(s, [float(row[m]) for row in h_rows], kernel, grid)[:, 0]
         for m, s in enumerate(samples)
     ])
     out: list[float | None] = []
-    for r, kdes in enumerate(products):
+    for r in range(len(h_rows)):
         try:
-            post = ProductPosterior.from_product(kdes, grid, rows[:, r])
+            _, values = _product(rows[:, r], grid)
         except DegenerateProduct:
             out.append(None)
             continue
-        out.append(integrate_values((post.values - truth) ** 2, grid.spacing))
+        out.append(integrate_values((values - truth) ** 2, grid.spacing))
     return out
 
 
@@ -174,9 +166,13 @@ def _ise_columns(
 
     Every replication job of every batch goes through one map: one process
     pool of at most one worker per job, or this process for one worker.
+    Every bandwidth is checked once, before any job runs.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications for a standard error")
+    bad = [h for _, _, rows, _ in batches for row in rows for h in row if not 0 < h < math.inf]
+    if bad:
+        raise ValueError(f"bandwidth must be positive and finite, got {bad[0]}")
     jobs = [
         (model, n, h_rows, seed, outer, rep, grid)
         for model, n, h_rows, outer in batches

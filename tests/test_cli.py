@@ -258,6 +258,25 @@ class TestMiseSweep:
             main(["mise-sweep", "--family", "normal"])
         assert exc.value.code == 2
 
+    def test_experiment_only_flags_rejected(self, tmp_path, capsys):
+        # a sweep has one outer repeat and writes only --out
+        for flag in (["--outer-repeats", "7"], ["--output-dir", str(tmp_path / "nowhere")]):
+            with pytest.raises(SystemExit) as exc:
+                main(["mise-sweep", "--seed", "3", "--n", "60", *flag])
+            assert exc.value.code == 2
+            assert flag[0] in capsys.readouterr().err
+        assert not (tmp_path / "nowhere").exists()
+
+    def test_nonpositive_sweep_bandwidth_is_config_error(self, tmp_path, capsys):
+        code = main([
+            "mise-sweep", "--family", "normal", "-M", "2", "--n", "60",
+            "--replications", "4", "--sweep-count", "5", "--sweep-lo", "-1", "--seed", "3",
+            "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == EXIT_CONFIG
+        assert "bandwidth must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestExperimentAndReport:
     def test_end_to_end(self, tmp_path, capsys):
@@ -329,6 +348,15 @@ class TestExperimentAndReport:
         ])
         assert code == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
+
+    def test_one_replication_is_config_error(self, tmp_path):
+        # a standard error needs two replications
+        code = main([
+            "experiment", "--family", "normal", "--n", "60", "--replications", "1",
+            "--outer-repeats", "1", "--seed", "1", "--output-dir", str(tmp_path / "o1"),
+        ])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "o1").exists()
 
     def test_empty_sample_size_list_is_config_error(self, tmp_path):
         # no sample size would leave CSVs holding only their headers

@@ -146,6 +146,18 @@ class TestSweep:
             sweep_bandwidth(NORMAL4, 200, [0.2, 0.3], 10, 0, Grid(-4, 4, 101))
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.3, math.nan, math.inf])
+def test_bandwidths_must_be_positive_and_finite(bad):
+    g = Grid(-4, 4, 101)
+    match = "bandwidth must be positive and finite"
+    with pytest.raises(ValueError, match=match):
+        estimate_mise(NORMAL4, 50, bad, replications=4, seed=0, grid=g)
+    with pytest.raises(ValueError, match=match):
+        estimate_mise(NORMAL4, 50, [0.3, 0.3, bad, 0.3], replications=4, seed=0, grid=g)
+    with pytest.raises(ValueError, match=match):
+        sweep_bandwidth(NORMAL4, 50, [0.1, 0.2, 0.3, 0.4, bad], 4, 0, g, workers=2)
+
+
 class TestConfig:
     def test_defaults_and_validation(self):
         cfg = ExperimentConfig(seed=1)
@@ -159,6 +171,11 @@ class TestConfig:
             ExperimentConfig(outer_repeats=0)
         with pytest.raises(ValueError):
             ExperimentConfig(n_per_subset=[])
+
+    def test_one_replication_rejected(self):
+        # _ise_columns needs two for a standard error; fail before any output
+        with pytest.raises(ValueError, match="replications must be >= 2"):
+            ExperimentConfig(replications=1)
 
     def test_grid_bounds_come_as_a_pair(self):
         with pytest.raises(ValueError):
