@@ -39,7 +39,6 @@ from .harness import (
     MiseCurve,
     MiseEstimate,
     closed_form_h,
-    default_model_grid,
     estimate_mise,
     run_experiment,
     sample_model,
@@ -83,7 +82,6 @@ __all__ = [
     "MiseCurve",
     "MiseEstimate",
     "closed_form_h",
-    "default_model_grid",
     "estimate_mise",
     "run_experiment",
     "sample_model",

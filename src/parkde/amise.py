@@ -19,30 +19,13 @@ the Gaussian kernel, the only one whose estimates have the curvatures p''.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .estimators import AnalyticModel, ProductPosterior, _product, grid_rows
 from .kernels import from_name
 from .quadrature import Grid, integrate_values, simpson_weights
-
-DensityProvider = Callable[..., np.ndarray]
-
-
-def _providers(source) -> list[DensityProvider]:
-    """Normalize a model / KDE list / callable list to per-subset densities."""
-    if isinstance(source, AnalyticModel):
-        return [source.subset] * source.M
-    comps = list(source)
-    if not comps:
-        raise ValueError("need at least one density component")
-    return comps
-
-
-def _density_table(densities: Sequence[DensityProvider], x, deriv: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return np.stack([np.asarray(f(x, deriv), dtype=float) for f in densities])
 
 
 def _prod_except(P: np.ndarray) -> np.ndarray:
@@ -71,8 +54,10 @@ def _leading(P: np.ndarray, Pdd: np.ndarray, N, h):
 
 
 def _leading_at(densities, N, h, x):
-    densities = _providers(densities)
-    P, Pdd = _density_table(densities, x, 0), _density_table(densities, x, 2)
+    if isinstance(densities, AnalyticModel):
+        densities = [densities.subset] * densities.M
+    x = np.asarray(x, dtype=float)
+    P, Pdd = (np.stack([np.asarray(f(x, d), dtype=float) for f in densities]) for d in (0, 2))
     bias, variance = _leading(P, Pdd, N, h)
     return (float(bias), float(variance)) if bias.ndim == 0 else (bias, variance)
 
@@ -88,12 +73,8 @@ def variance_leading(densities, N: Sequence[int], h: Sequence[float], x):
 
 
 def amise_product(source, N: Sequence[int], h: Sequence[float], grid: Grid) -> float:
-    """Leading-order mean integrated squared error of the raw product.
-
-    A model's one subset density and curvature are evaluated once
-    (`_grid_tables`).
-    """
-    P, Pdd = _grid_tables(source, grid)
+    """Leading-order mean integrated squared error of the raw product."""
+    P, Pdd = grid_rows(source, grid, (0, 2))
     b, v = _leading(P, Pdd, N, h)
     return integrate_values(b * b, grid.spacing) + integrate_values(v, grid.spacing)
 
@@ -136,7 +117,7 @@ def _coefficients(source, N, grid: Grid) -> AmiseCoefficients:
     Each component is evaluated on the grid once, for its values and
     curvatures together, and the product p and c come from the same values.
     """
-    P, Pdd = _grid_tables(source, grid)
+    P, Pdd = grid_rows(source, grid, (0, 2))
     lam, values = _product(P, grid)
     if not (np.isfinite(P).all() and np.isfinite(Pdd).all()):
         raise ValueError("non-finite density or curvature values on the grid")
@@ -159,16 +140,6 @@ def _coefficients(source, N, grid: Grid) -> AmiseCoefficients:
     return AmiseCoefficients(beta, nu, len(P))
 
 
-def _grid_tables(source, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Values and curvatures (each M x G) of source's subset densities at
-    grid.points; a model's one subset density is evaluated once and its
-    rows repeated."""
-    if isinstance(source, AnalyticModel):
-        rows = grid_rows(source.subset, grid, (0, 2))
-        return np.repeat(rows[:, None], source.M, axis=1)
-    return np.stack([grid_rows(f, grid, (0, 2)) for f in _providers(source)], axis=1)
-
-
 def empirical_coefficients(
     post: ProductPosterior, grid: Grid | None = None
 ) -> AmiseCoefficients:
@@ -189,8 +160,8 @@ def _check_h(coeffs: AmiseCoefficients, h) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.shape != (coeffs.M,):
         raise ValueError(f"bandwidth vector must have length {coeffs.M}")
-    if np.any(h <= 0):
-        raise ValueError("bandwidths must be positive")
+    if not (np.isfinite(h).all() and (h > 0).all()):
+        raise ValueError(f"bandwidths must be positive and finite, got {h}")
     return h
 
 

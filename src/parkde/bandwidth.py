@@ -9,9 +9,9 @@ from typing import Sequence
 import numpy as np
 
 from .amise import AmiseCoefficients, _check_h, _coefficients, _surrogate
-from .estimators import AnalyticModel, SubsetSample, fit_subset_kde
+from .estimators import AnalyticModel, SubsetSample, data_window, fit_subset_kde
 from .kernels import from_name
-from .quadrature import Grid, default_grid
+from .quadrature import Grid
 
 
 class GammaDomain(ValueError):
@@ -259,7 +259,7 @@ def optimize_bandwidth(
     if tol is None:
         tol = 1e-4 * float(np.linalg.norm(h0))
     if grid is None:
-        grid = default_grid(np.concatenate([s.values for s in subsets]), h0)
+        grid = Grid(*data_window(subsets, h0), 4001)
 
     kernel = from_name("gaussian")
     kdes = [fit_subset_kde(s, hv, kernel) for s, hv in zip(subsets, h0)]

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from .bandwidth import GammaDomain, normal_reference_h, optimize_bandwidth
-from .estimators import DegenerateProduct, SubsetSample, fit_subset_kde, normalize
+from .estimators import DegenerateProduct, SubsetSample, data_window, fit_subset_kde, normalize
 from .harness import (
     DegenerateMajority,
     ExperimentConfig,
@@ -19,7 +19,7 @@ from .harness import (
     sweep_bandwidth,
 )
 from .kernels import from_name
-from .quadrature import ConvergenceError, Grid, default_grid
+from .quadrature import ConvergenceError, Grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,16 +68,10 @@ def _load_subsets(directory: str) -> list[SubsetSample]:
 
 
 def _grid_from_args(args, subsets, bandwidths) -> Grid:
-    """The --grid-lo/--grid-hi window, else the default window of the subsets."""
-    if (args.grid_lo is None) != (args.grid_hi is None):
-        raise CliError("--grid-lo and --grid-hi must be given together", EXIT_CONFIG)
-    try:
-        if args.grid_lo is not None:
-            return Grid(args.grid_lo, args.grid_hi, args.grid_points)
-        pooled = np.concatenate([s.values for s in subsets])
-        return default_grid(pooled, bandwidths, n_points=args.grid_points)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_CONFIG)
+    """The --grid-lo/--grid-hi window, else the data window of the subsets."""
+    return Grid.from_bounds(
+        args.grid_lo, args.grid_hi, args.grid_points, data_window(subsets, bandwidths)
+    )
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -148,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        "step,backtracks,stop,steps,fallbacks)")
     p_opt.add_argument("--grid-lo", type=float)
     p_opt.add_argument("--grid-hi", type=float)
-    # default_grid's own size, so the CLI and library defaults agree
+    # optimize_bandwidth's own size, so the CLI and library defaults agree
     p_opt.add_argument("--grid-points", type=int, default=4001)
 
     p_sweep = sub.add_parser("mise-sweep", help="Monte Carlo MISE curve over a bandwidth range")
@@ -179,8 +173,6 @@ def _parse_bandwidths(spec: str, subsets) -> np.ndarray:
         parts = parts * M
     if len(parts) != M:
         raise CliError(f"--bandwidth needs 1 or {M} values, got {len(parts)}", EXIT_CONFIG)
-    if any(h <= 0 for h in parts):
-        raise CliError("bandwidths must be positive", EXIT_CONFIG)
     return np.array(parts)
 
 
@@ -188,8 +180,9 @@ def _cmd_fit(args) -> int:
     subsets = _load_subsets(args.subsets)
     h = _parse_bandwidths(args.bandwidth, subsets)
     kernel = from_name(args.kernel)
-    grid = _grid_from_args(args, subsets, h)
+    # fit_subset_kde checks each bandwidth before a window is built from them
     kdes = [fit_subset_kde(s, hv, kernel) for s, hv in zip(subsets, h)]
+    grid = _grid_from_args(args, subsets, h)
     post = normalize(kdes, grid)
     try:
         with open(args.out, "w", newline="") as fh:
@@ -232,6 +225,10 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_mise_sweep(args) -> int:
     cfg = _config_from_args(args)
+    # a sweep has one outer repeat and writes only --out
+    for key in ("outer_repeats", "output_dir"):
+        if getattr(cfg, key) != getattr(ExperimentConfig, key):
+            raise CliError(f"mise-sweep does not use config key {key!r}", EXIT_CONFIG)
     cfg.seed = args.seed
     model = cfg.model()
     grid = cfg.grid()

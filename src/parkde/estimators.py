@@ -86,11 +86,6 @@ class SubsetKde:
         vals /= self.sample.size * h ** (deriv + 1)
         return float(vals[0]) if scalar else vals
 
-    def on_grid(self, grid: Grid, derivs: Sequence[int] = (0,)) -> np.ndarray:
-        """KDE derivatives of the given orders at grid.points, one row each
-        (see `kde_rows`)."""
-        return kde_rows(self.sample, [self.bandwidth], self.kernel, grid, derivs)[0]
-
 
 def kde_rows(
     sample: SubsetSample,
@@ -194,15 +189,26 @@ class ProductPosterior:
         return float(vals[0]) if x.ndim == 0 else vals
 
 
-def grid_rows(component, grid: Grid, derivs: Sequence[int] = (0,)) -> np.ndarray:
-    """A density component's derivatives of the given orders at grid.points.
+def grid_rows(source, grid: Grid, derivs: Sequence[int] = (0,)) -> np.ndarray:
+    """Derivatives of the given orders of source's M subset densities at
+    grid.points, shape (len(derivs), M, G); the one way a density source is
+    put on a grid.
 
-    Subset KDEs go through `SubsetKde.on_grid`; any other component is a
-    callable of (x, deriv), such as `AnalyticModel.subset`.
+    A model's one subset density is evaluated once and its rows repeated M
+    times. Otherwise source is a sequence of subset KDEs, which go to
+    `kde_rows`, and density callables of (x, deriv), such as
+    `AnalyticModel.subset`.
     """
-    if isinstance(component, SubsetKde):
-        return component.on_grid(grid, derivs)
-    return np.stack([component(grid.points, d) for d in derivs])
+    if isinstance(source, AnalyticModel):
+        rows = np.stack([source.subset(grid.points, d) for d in derivs])
+        return np.repeat(rows[:, None], source.M, axis=1)
+    if not source:
+        raise ValueError("need at least one density component")
+    return np.stack([
+        kde_rows(c.sample, [c.bandwidth], c.kernel, grid, derivs)[0]
+        if isinstance(c, SubsetKde) else np.stack([c(grid.points, d) for d in derivs])
+        for c in source
+    ], axis=1)
 
 
 def normalize(components: Sequence[SubsetKde], grid: Grid) -> ProductPosterior:
@@ -211,8 +217,21 @@ def normalize(components: Sequence[SubsetKde], grid: Grid) -> ProductPosterior:
 
     Components are subset KDEs or other density callables (see `grid_rows`).
     """
-    rows = np.stack([grid_rows(c, grid)[0] for c in components])
-    return ProductPosterior(tuple(components), grid, *_product(rows, grid))
+    components = tuple(components)
+    rows = grid_rows(components, grid)[0]
+    return ProductPosterior(components, grid, *_product(rows, grid))
+
+
+def data_window(
+    subsets: Sequence[SubsetSample], bandwidths: Sequence[float]
+) -> tuple[float, float]:
+    """Default window of KDE work on subsets: their pooled range padded by
+    5 (max h + sd)."""
+    x = np.concatenate([s.values for s in subsets])
+    h = float(np.max(np.asarray(bandwidths, dtype=float)))
+    sd = float(np.std(x)) if x.size > 1 else 1.0
+    margin = 5.0 * h + 5.0 * sd
+    return float(x.min()) - margin, float(x.max()) + margin
 
 
 @dataclass(frozen=True)
@@ -267,6 +286,13 @@ class AnalyticModel:
             return _normal_pdf(x, self.mu, self.sigma / math.sqrt(self.M), 0)
         shape = self.M * (self.alpha - 1.0) + 1.0
         return _gamma_pdf(x, shape, self.theta / self.M, 0)
+
+    def window(self) -> tuple[float, float]:
+        """Window covering the subset density, and hence every estimator of
+        it, safely."""
+        if self.family == NORMAL_FAMILY:
+            return self.mu - 6.0 * self.sigma, self.mu + 6.0 * self.sigma
+        return 1e-9, self.alpha * self.theta + 12.0 * math.sqrt(self.alpha) * self.theta
 
     def sample_subset(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.family == NORMAL_FAMILY:

@@ -68,8 +68,7 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if not (self.sweep_lo < self.sweep_hi):
             raise ValueError("sweep needs lo < hi")
-        if (self.grid_lo is None) != (self.grid_hi is None):
-            raise ValueError("grid_lo and grid_hi must be given together")
+        self.grid()  # checks the grid bounds and the model
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -87,17 +86,8 @@ class ExperimentConfig:
         return AnalyticModel.gamma(self.alpha, self.theta, self.M)
 
     def grid(self) -> Grid:
-        if self.grid_lo is not None:
-            return Grid(self.grid_lo, self.grid_hi, self.grid_points)
-        return default_model_grid(self.model(), self.grid_points)
-
-
-def default_model_grid(model: AnalyticModel, n_points: int = 801) -> Grid:
-    """Window covering the subset density (and hence every estimator) safely."""
-    if model.family == "normal":
-        return Grid(model.mu - 6.0 * model.sigma, model.mu + 6.0 * model.sigma, n_points)
-    hi = model.alpha * model.theta + 12.0 * math.sqrt(model.alpha) * model.theta
-    return Grid(1e-9, hi, n_points)
+        """The grid_lo/grid_hi window, else the model's window."""
+        return Grid.from_bounds(self.grid_lo, self.grid_hi, self.grid_points, self.model().window())
 
 
 def closed_form_h(model: AnalyticModel, n: int, baseline: bool = False) -> float:

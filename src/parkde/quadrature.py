@@ -30,6 +30,16 @@ class Grid:
         if self.n_points < 2:
             raise ValueError(f"grid needs n_points >= 2, got {self.n_points}")
 
+    @classmethod
+    def from_bounds(cls, lo, hi, n_points: int, span: tuple[float, float]) -> "Grid":
+        """The grid on [lo, hi], or on span when neither bound is given; the
+        one place a window is chosen and its bounds checked as a pair."""
+        if (lo is None) != (hi is None):
+            raise ValueError(f"grid bounds lo and hi must be given together, got {lo}, {hi}")
+        if lo is None:
+            lo, hi = span
+        return cls(lo, hi, n_points)
+
     @property
     def spacing(self) -> float:
         return (self.hi - self.lo) / (self.n_points - 1)
@@ -116,16 +126,3 @@ def gradient_fd(
         step[i] = eps
         out[i] = (f(x + step) - f(x - step)) / (2.0 * eps)
     return out
-
-
-def default_grid(
-    samples: Sequence[float],
-    bandwidths: Sequence[float],
-    n_points: int = 4001,
-) -> Grid:
-    """Integration window for KDE work: pooled range padded by 5 (max h + sd)."""
-    x = np.asarray(samples, dtype=float)
-    h = float(np.max(np.asarray(bandwidths, dtype=float)))
-    sd = float(np.std(x)) if x.size > 1 else 1.0
-    margin = 5.0 * h + 5.0 * sd
-    return Grid(float(x.min()) - margin, float(x.max()) + margin, n_points)

@@ -276,10 +276,11 @@ class TestSurrogate:
 
     def test_rejects_nonpositive_bandwidths(self):
         co = self.coeffs(1.0, 4.0)
-        with pytest.raises(ValueError):
-            amise_hat(co, [0.0])
-        with pytest.raises(ValueError):
-            amise_hat_grad(co, [-0.1])
+        for h in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                amise_hat(co, [h])
+            with pytest.raises(ValueError, match="positive and finite"):
+                amise_hat_grad(co, [h])
 
     def test_coefficient_validation(self):
         with pytest.raises(ValueError):

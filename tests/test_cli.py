@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from parkde.bandwidth import normal_reference_h
 from parkde.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
+from parkde.estimators import SubsetSample
 
 
 @pytest.fixture
@@ -68,6 +70,32 @@ class TestFit:
             "fit", "--subsets", str(subset_dir), "--bandwidth", "-0.2",
             "--out", str(out),
         ]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_nonfinite_or_nonpositive_bandwidth_is_config_error(
+        self, value, subset_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "density.csv"
+        code = main(["fit", "--subsets", str(subset_dir), "--bandwidth", value, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"bandwidth must be positive and finite, got {float(value)}" in err
+        assert not out.exists()
+
+    def test_auto_window_is_pinned(self, subset_dir, tmp_path):
+        # the pooled range padded by 5 (max h + sd), which perfbench's reference freezes
+        out = tmp_path / "density.csv"
+        assert main([
+            "fit", "--subsets", str(subset_dir), "--bandwidth", "auto", "--out", str(out),
+        ]) == EXIT_OK
+        subsets = [
+            SubsetSample(np.loadtxt(p)) for p in sorted(subset_dir.iterdir())
+        ]
+        pooled = np.concatenate([s.values for s in subsets])
+        margin = 5.0 * normal_reference_h(subsets).max() + 5.0 * np.std(pooled)
+        want = np.linspace(pooled.min() - margin, pooled.max() + margin, 2001)
+        xs = np.array([float(r[0]) for r in read_rows(out)[1:]])
+        np.testing.assert_array_equal(xs, want)
 
     def test_missing_subset_dir(self, tmp_path):
         code = main([
@@ -265,6 +293,17 @@ class TestMiseSweep:
                 main(["mise-sweep", "--seed", "3", "--n", "60", *flag])
             assert exc.value.code == 2
             assert flag[0] in capsys.readouterr().err
+        assert not (tmp_path / "nowhere").exists()
+
+    def test_experiment_only_config_keys_rejected(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        for key, value in (("outer_repeats", 7), ("output_dir", str(tmp_path / "nowhere"))):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"n_per_subset": [60], key: value}))
+            code = main(["mise-sweep", "--config", str(cfg_path), "--seed", "1", "--out", str(out)])
+            assert code == EXIT_CONFIG
+            assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
         assert not (tmp_path / "nowhere").exists()
 
     def test_nonpositive_sweep_bandwidth_is_config_error(self, tmp_path, capsys):

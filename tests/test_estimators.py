@@ -17,7 +17,7 @@ from parkde.quadrature import Grid, integrate, integrate_values
 
 GAUSS = from_name("gaussian")
 
-# Bound on max |on_grid - exact| / max |exact| by (kernel, derivative) and
+# Bound on max |kde_rows - exact| / max |exact| by (kernel, derivative) and
 # h / spacing, for 4000 N(0, 1) draws plus draws beyond the grid, G in
 # {201, 401, 2001}. Over five seeds the largest errors were 1.4e-3, 2.3e-2
 # and 1.6e-2 at 4 spacings and 1.6e-4, 2.9e-3 and 2.6e-3 at 10; the error
@@ -81,9 +81,13 @@ class TestSubsetKde:
         rng = np.random.default_rng(2)
         kde = kde_of(rng.normal(0, 1, 80), 0.3)
         g = Grid(-2, 2, 201)  # h = 15 spacings: binned
-        p, pdd = kde.on_grid(g, (0, 2))
-        np.testing.assert_array_equal(p, kde.on_grid(g)[0])
-        np.testing.assert_array_equal(pdd, kde.on_grid(g, (2,))[0])
+        p, pdd = kde_rows(kde.sample, [kde.bandwidth], kde.kernel, g, (0, 2))[0]
+        np.testing.assert_array_equal(
+            p, kde_rows(kde.sample, [kde.bandwidth], kde.kernel, g)[0, 0]
+        )
+        np.testing.assert_array_equal(
+            pdd, kde_rows(kde.sample, [kde.bandwidth], kde.kernel, g, (2,))[0, 0]
+        )
 
     @pytest.mark.parametrize("order", ["ascending", "shuffled"])
     def test_kde_rows_match_one_bandwidth_calls(self, order):
@@ -102,7 +106,7 @@ class TestSubsetKde:
         rows = kde_rows(sample, hs, GAUSS, g, (0, 2))
         assert rows.shape == (len(hs), 2, g.n_points)
         for h, row in zip(hs, rows):
-            np.testing.assert_array_equal(row, fit_subset_kde(sample, h, GAUSS).on_grid(g, (0, 2)))
+            np.testing.assert_array_equal(row, kde_rows(sample, [h], GAUSS, g, (0, 2))[0])
 
     def test_on_grid_falls_back_to_the_exact_sum(self):
         values = np.random.default_rng(6).normal(0, 1, 500)
@@ -110,11 +114,13 @@ class TestSubsetKde:
         # 3.9 grid spacings per bandwidth, and a kernel reaching far beyond the grid
         for h in (0.039, 1e9):
             kde = kde_of(values, h)
-            rows = kde.on_grid(g, (0, 2))
+            rows = kde_rows(kde.sample, [kde.bandwidth], kde.kernel, g, (0, 2))[0]
             np.testing.assert_array_equal(rows[0], kde(g.points, 0))
             np.testing.assert_array_equal(rows[1], kde(g.points, 2))
         kde = kde_of(values, 0.04)  # 4 spacings: binned
-        assert not np.array_equal(kde.on_grid(g)[0], kde(g.points))
+        assert not np.array_equal(
+            kde_rows(kde.sample, [kde.bandwidth], kde.kernel, g)[0, 0], kde(g.points)
+        )
 
     @pytest.mark.parametrize("kernel,deriv", list(ON_GRID_BOUND))
     @pytest.mark.parametrize("G", [201, 401, 2001])
@@ -127,7 +133,8 @@ class TestSubsetKde:
         outside = [-4.0 - 3.0 * h, -4.0 - 20.0 * h, 4.0 + 9.0 * h, 4.0]
         kde = kde_of(np.concatenate([rng.normal(0, 1, 4000), outside]), h, from_name(kernel))
         exact = kde(g.points, deriv)
-        err = np.abs(kde.on_grid(g, (deriv,))[0] - exact).max() / np.abs(exact).max()
+        binned = kde_rows(kde.sample, [kde.bandwidth], kde.kernel, g, (deriv,))[0, 0]
+        err = np.abs(binned - exact).max() / np.abs(exact).max()
         assert err <= on_grid_bound(kernel, deriv, ratio)
 
     def test_exact_sum_memory_is_bounded(self):
@@ -147,7 +154,7 @@ class TestSubsetKde:
         with pytest.raises(ValueError):
             kde(0.0, 2)
         with pytest.raises(ValueError):
-            kde.on_grid(Grid(-2, 2, 101), (0, 2))
+            kde_rows(kde.sample, [kde.bandwidth], kde.kernel, Grid(-2, 2, 101), (0, 2))
 
     def test_fit_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError):

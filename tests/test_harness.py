@@ -11,7 +11,6 @@ from parkde.harness import (
     ExperimentConfig,
     _curve,
     closed_form_h,
-    default_model_grid,
     estimate_mise,
     run_experiment,
     sample_model,
@@ -199,10 +198,17 @@ class TestConfig:
         assert cfg.model().alpha == 3.0
 
     def test_default_grids(self):
-        g = default_model_grid(AnalyticModel.normal(0.0, 1.0, 4))
+        g = Grid.from_bounds(None, None, 801, AnalyticModel.normal(0.0, 1.0, 4).window())
         assert g.lo == -6.0 and g.hi == 6.0
-        gg = default_model_grid(AnalyticModel.gamma(3.0, 3.0, 4))
+        gg = Grid.from_bounds(None, None, 801, AnalyticModel.gamma(3.0, 3.0, 4).window())
         assert gg.lo > 0 and gg.hi > 20
+
+    def test_default_windows_are_pinned(self):
+        # mu +- 6 sigma and (1e-9, alpha theta + 12 sqrt(alpha) theta), exactly
+        assert ExperimentConfig().grid() == Grid(-6.0, 6.0, 801)
+        assert ExperimentConfig(mu=0.5, sigma=2.0).grid() == Grid(0.5 - 12.0, 0.5 + 12.0, 801)
+        hi = 3.0 * 3.0 + 12.0 * math.sqrt(3.0) * 3.0
+        assert ExperimentConfig(family="gamma").grid() == Grid(1e-9, hi, 801)
 
 
 def test_closed_form_h_policies():

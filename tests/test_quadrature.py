@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from parkde.estimators import SubsetSample, data_window
 from parkde.quadrature import (
     ConvergenceError,
     Grid,
     argmin_scalar,
-    default_grid,
     gradient_fd,
     integrate,
     integrate_values,
@@ -120,6 +120,6 @@ def test_gradient_fd_rejects_bad_eps():
 def test_default_grid_covers_samples():
     rng = np.random.default_rng(3)
     x = rng.normal(2.0, 1.5, 400)
-    g = default_grid(x, [0.3], n_points=101)
+    g = Grid.from_bounds(None, None, 101, data_window([SubsetSample(x)], [0.3]))
     assert g.lo < x.min() and g.hi > x.max()
     assert g.n_points == 101
