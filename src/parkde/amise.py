@@ -11,14 +11,16 @@ p = c prod_m p_m it is sum_ij h_i^2 h_j^2 beta_ij + sum_i nu_i / h_i, where
     nu_i = c^2 R(K) int p_i L_i^2 / N_i,
 
 I_i = int q_i, T_i = int q_i p, U_ij = int q_i q_j and S = int p^2 (Wand &
-Jones 1995, section 3.6). `_coefficients` alone forms beta and nu;
-`amise_bar` is `amise_hat` of its coefficients for the true densities. K is
-the Gaussian kernel, the only one whose estimates have the curvatures p''.
+Jones 1995, section 3.6). `_coefficients` alone forms beta and nu, over the
+distinct subset densities with their multiplicities, so a symmetric model's
+M identical densities cost one row; `amise_bar` is `amise_hat` of its
+coefficients for the true densities. K is the Gaussian kernel, the only one
+whose estimates have the curvatures p''.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -114,19 +116,26 @@ def _coefficients(source, N, grid: Grid) -> AmiseCoefficients:
     """beta and nu for a model, density callables or subset KDEs on grid;
     the one place the error functional's coefficients are formed.
 
-    Each component is evaluated on the grid once, for its values and
-    curvatures together, and the product p and c come from the same values.
+    The integrals run over the distinct subset densities P, each with a
+    multiplicity k: a model's one subset density has k = M, so a model costs
+    O(G) at any M; each callable or KDE of a sequence has k = 1, where P**1
+    and P**0 are exact. nu and beta are repeated out to the M subsets, and
+    the product p and c come from the same grid values as the curvatures.
     """
+    k = 1
+    if isinstance(source, AnalyticModel):  # its one subset density, M times
+        source, k = replace(source, M=1), source.M
     P, Pdd = grid_rows(source, grid, (0, 2))
-    lam, values = _product(P, grid)
+    Pk = P**k
+    lam, values = _product(Pk, grid)
     if not (np.isfinite(P).all() and np.isfinite(Pdd).all()):
         raise ValueError("non-finite density or curvature values on the grid")
     kernel = from_name("gaussian")
     c = 1.0 / lam
     w = simpson_weights(grid.n_points, grid.spacing)
-    L = _prod_except(P)
+    L = _prod_except(Pk) * P ** (k - 1)
     nu = c**2 * kernel.roughness / np.asarray(N, dtype=float)
-    nu = nu * np.einsum("mg,mg,mg,g->m", P, L, L, w)
+    nu = nu * np.einsum("mg,mg,mg,g->m", P, L, L, w).repeat(k)
     # every remaining integral is a dot product of sqrt(w)-weighted rows
     root_w = np.sqrt(w)
     Q = np.multiply(L, Pdd, out=L)
@@ -137,7 +146,7 @@ def _coefficients(source, N, grid: Grid) -> AmiseCoefficients:
     U = Q @ Q.T
     scale = (c * kernel.k2 / 2.0) ** 2
     beta = scale * (np.outer(I, I) * (p @ p) + U - 2.0 * np.outer(I, T))
-    return AmiseCoefficients(beta, nu, len(P))
+    return AmiseCoefficients(beta.repeat(k, axis=0).repeat(k, axis=1), nu, len(nu))
 
 
 def empirical_coefficients(

@@ -200,7 +200,8 @@ def grid_rows(source, grid: Grid, derivs: Sequence[int] = (0,)) -> np.ndarray:
     `AnalyticModel.subset`.
     """
     if isinstance(source, AnalyticModel):
-        rows = np.stack([source.subset(grid.points, d) for d in derivs])
+        x = grid.points
+        rows = np.stack([source.subset(x, d) for d in derivs])
         return np.repeat(rows[:, None], source.M, axis=1)
     if not source:
         raise ValueError("need at least one density component")

@@ -81,9 +81,8 @@ class ExperimentConfig:
         return cls(**data)
 
     def model(self) -> AnalyticModel:
-        if self.family == "normal":
-            return AnalyticModel.normal(self.mu, self.sigma, self.M)
-        return AnalyticModel.gamma(self.alpha, self.theta, self.M)
+        return AnalyticModel(self.family, self.M, mu=self.mu, sigma=self.sigma,
+                             alpha=self.alpha, theta=self.theta)
 
     def grid(self) -> Grid:
         """The grid_lo/grid_hi window, else the model's window."""

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,8 +43,9 @@ class Grid:
     def spacing(self) -> float:
         return (self.hi - self.lo) / (self.n_points - 1)
 
-    @cached_property
+    @property
     def points(self) -> np.ndarray:
+        """A fresh array on each access, so a grid holds no array."""
         return np.linspace(self.lo, self.hi, self.n_points)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from parkde.amise import (
     AmiseCoefficients,
+    _coefficients,
     _prod_except,
     amise_bar,
     amise_hat,
@@ -133,6 +134,28 @@ def test_amise_bar_matches_four_term_functional(family, M, points):
     assert amise_bar(model, N, h, grid) == pytest.approx(
         four_term_amise_bar(model, N, h, grid), rel=1e-10
     )
+
+
+@pytest.mark.parametrize("family", ["normal", "gamma"])
+@pytest.mark.parametrize("M", [1, 2, 4, 32, 64])
+@pytest.mark.parametrize("points", [2001, 2000])
+def test_model_coefficients_match_its_subset_densities(family, M, points):
+    # a model's one row with multiplicity M against M rows of multiplicity 1
+    if family == "normal":
+        model = AnalyticModel.normal(0.3, 1.2, M)
+    else:
+        model = AnalyticModel.gamma(3.0, 3.0, M)
+    grid = Grid(*model.window(), points)
+    N = 100.0 + 37.0 * np.arange(M)
+    shared = _coefficients(model, N, grid)
+    rows = _coefficients([model.subset] * M, N, grid)
+    if M == 1:
+        np.testing.assert_array_equal(shared.beta, rows.beta)
+        np.testing.assert_array_equal(shared.nu, rows.nu)
+    # beta's three terms cancel by up to 1.1e4 (normal, M=64), which lifts
+    # the rows' own rounding in M-fold products to 8e-12 of beta
+    np.testing.assert_allclose(shared.beta, rows.beta, rtol=1e-11, atol=0)
+    np.testing.assert_allclose(shared.nu, rows.nu, rtol=1e-12, atol=0)
 
 
 def test_amise_bar_validates_bandwidths():

@@ -306,6 +306,16 @@ class TestMiseSweep:
         assert not out.exists()
         assert not (tmp_path / "nowhere").exists()
 
+    def test_unknown_config_family_is_config_error(self, tmp_path, capsys):
+        # argparse's choices guard only --family; a config's family is checked by the model
+        out = tmp_path / "s.csv"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"family": "Normal", "n_per_subset": [60]}))
+        code = main(["mise-sweep", "--config", str(cfg_path), "--seed", "1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "unknown model family 'Normal'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonpositive_sweep_bandwidth_is_config_error(self, tmp_path, capsys):
         code = main([
             "mise-sweep", "--family", "normal", "-M", "2", "--n", "60",

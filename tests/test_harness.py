@@ -183,6 +183,10 @@ class TestConfig:
             ExperimentConfig(grid_hi=3.0)
         assert ExperimentConfig(grid_lo=-3.0, grid_hi=3.0, grid_points=11).grid() == Grid(-3.0, 3.0, 11)
 
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown model family 'Normal'"):
+            ExperimentConfig(family="Normal")
+
     def test_from_json_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"family": "normal", "bogus_key": 1}))

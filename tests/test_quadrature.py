@@ -21,6 +21,13 @@ class TestGrid:
         assert g.spacing == 0.25
         np.testing.assert_allclose(g.points, [0.0, 0.25, 0.5, 0.75, 1.0])
 
+    def test_holds_no_array(self):
+        g = Grid(0.0, 1.0, 5)
+        first = g.points
+        assert vars(g) == {"lo": 0.0, "hi": 1.0, "n_points": 5}
+        first[:] = -1.0
+        np.testing.assert_array_equal(g.points, [0.0, 0.25, 0.5, 0.75, 1.0])
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             Grid(1.0, 0.0, 10)

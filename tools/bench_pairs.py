@@ -13,7 +13,9 @@ that workload to the file. The file holds
 both commits' shas (--before-sha/--after-sha), the Python and numpy
 versions, nproc, every pair's setup_s, ops_per_s and peak_rss_mb, and per
 metric the median and quartiles of each side and the number of pairs in
-which the after side was better.
+which the after side was better. The script exits 1, naming the seed and
+side, when a run reports `correct: false` or failed operations; the file is
+written first, so those runs are kept.
 """
 
 from __future__ import annotations
@@ -95,7 +97,12 @@ def main(argv=None) -> int:
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    return 0
+    bad = [f"seed {p['seed']} {side}: correct={p[side]['correct']}, failed={p[side]['failed']}"
+           for p in pairs for side in ("before", "after")
+           if not p[side]["correct"] or p[side]["failed"] > 0]
+    for line in bad:
+        print(f"incorrect run, {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
