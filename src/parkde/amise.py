@@ -16,11 +16,20 @@ distinct subset densities with their multiplicities, so a symmetric model's
 M identical densities cost one row; `amise_bar` is `amise_hat` of its
 coefficients for the true densities. K is the Gaussian kernel, the only one
 whose estimates have the curvatures p''.
+
+Only c^2 R(K), nu's integrals and beta need the grid, and none depends on h
+or N. For a model they are memoized per (model, grid) in a fixed-size LRU
+cache, so a bandwidth search and `ab_constants` on one model and grid
+integrate once; an entry holds one density's 1 x 1 beta, its nu integral and
+c^2 R(K), read-only, and each call repeats them out to fresh (M, M) and (M,)
+arrays. A model that raises is not cached. Subset KDEs and density callables
+are not memoized: they are put on the grid on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -116,26 +125,42 @@ def _coefficients(source, N, grid: Grid) -> AmiseCoefficients:
     """beta and nu for a model, density callables or subset KDEs on grid;
     the one place the error functional's coefficients are formed.
 
-    The integrals run over the distinct subset densities P, each with a
-    multiplicity k: a model's one subset density has k = M, so a model costs
-    O(G) at any M; each callable or KDE of a sequence has k = 1, where P**1
-    and P**0 are exact. nu and beta are repeated out to the M subsets, and
-    the product p and c come from the same grid values as the curvatures.
+    `_integrals` integrates over the distinct subset densities, each with a
+    multiplicity k: a model's one subset density has k = M, and its
+    integrals are memoized per (model, grid); each callable or KDE of a
+    sequence has k = 1 and is put on the grid on every call. beta and nu's
+    integrals are then repeated out to the M subsets, and nu is divided by N.
     """
-    k = 1
-    if isinstance(source, AnalyticModel):  # its one subset density, M times
-        source, k = replace(source, M=1), source.M
+    if isinstance(source, AnalyticModel):
+        k = source.M
+        c2_roughness, dens, beta = _model_integrals(source, grid)
+    else:
+        k = 1
+        c2_roughness, dens, beta = _integrals(source, k, grid)
+    nu = c2_roughness / np.asarray(N, dtype=float) * dens.repeat(k)
+    return AmiseCoefficients(beta.repeat(k, axis=0).repeat(k, axis=1), nu, len(nu))
+
+
+def _integrals(source, k: int, grid: Grid):
+    """The N- and h-free part of the coefficients over source's distinct
+    subset densities P, each k times in the product: c^2 R(K), nu's
+    integrals int p_i L_i^2 and beta.
+
+    The product p and c come from the same grid values as the curvatures.
+    P**1 is P and P**0 is 1, so the powers are skipped at k = 1.
+    """
     P, Pdd = grid_rows(source, grid, (0, 2))
-    Pk = P**k
-    lam, values = _product(Pk, grid)
+    w = simpson_weights(grid.n_points, grid.spacing)
+    Pk = P if k == 1 else P**k
+    lam, values = _product(Pk, w)
     if not (np.isfinite(P).all() and np.isfinite(Pdd).all()):
         raise ValueError("non-finite density or curvature values on the grid")
     kernel = from_name("gaussian")
     c = 1.0 / lam
-    w = simpson_weights(grid.n_points, grid.spacing)
-    L = _prod_except(Pk) * P ** (k - 1)
-    nu = c**2 * kernel.roughness / np.asarray(N, dtype=float)
-    nu = nu * np.einsum("mg,mg,mg,g->m", P, L, L, w).repeat(k)
+    L = _prod_except(Pk)
+    if k > 1:
+        L *= P ** (k - 1)
+    dens = np.einsum("mg,mg,mg,g->m", P, L, L, w)
     # every remaining integral is a dot product of sqrt(w)-weighted rows
     root_w = np.sqrt(w)
     Q = np.multiply(L, Pdd, out=L)
@@ -146,7 +171,20 @@ def _coefficients(source, N, grid: Grid) -> AmiseCoefficients:
     U = Q @ Q.T
     scale = (c * kernel.k2 / 2.0) ** 2
     beta = scale * (np.outer(I, I) * (p @ p) + U - 2.0 * np.outer(I, T))
-    return AmiseCoefficients(beta.repeat(k, axis=0).repeat(k, axis=1), nu, len(nu))
+    return c**2 * kernel.roughness, dens, beta
+
+
+@lru_cache(maxsize=64)
+def _model_integrals(model: AnalyticModel, grid: Grid):
+    """`_integrals` of a model's one subset density, M times in the product.
+
+    Memoized per (model, grid), read-only: an entry holds a 1 x 1 beta, one
+    nu integral and c^2 R(K) at any M and G. Exceptions are not cached.
+    """
+    c2_roughness, dens, beta = _integrals(replace(model, M=1), model.M, grid)
+    dens.flags.writeable = False
+    beta.flags.writeable = False
+    return c2_roughness, dens, beta
 
 
 def empirical_coefficients(

@@ -147,12 +147,13 @@ def fit_subset_kde(sample: SubsetSample, h: float, kernel: Kernel) -> SubsetKde:
     return SubsetKde(sample, float(h), kernel)
 
 
-def _product(rows: np.ndarray, grid: Grid) -> tuple[float, np.ndarray]:
-    """Multiply the (M, G) rows of M densities on grid and normalize the
-    product: its mass lambda and the normalized values. The one place a
-    product is formed and its mass integrated and checked."""
+def _product(rows: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """Multiply the (M, G) rows of M densities on a grid and normalize the
+    product: its mass lambda, by the grid's Simpson weights, and the
+    normalized values. The one place a product is formed and its mass
+    integrated and checked."""
     vals = np.prod(rows, axis=0)
-    lam = vals @ simpson_weights(grid.n_points, grid.spacing)
+    lam = vals @ weights
     if not math.isfinite(lam):
         raise DegenerateProduct(
             f"product mass is {lam}; the product of the subset densities overflowed"
@@ -220,7 +221,8 @@ def normalize(components: Sequence[SubsetKde], grid: Grid) -> ProductPosterior:
     """
     components = tuple(components)
     rows = grid_rows(components, grid)[0]
-    return ProductPosterior(components, grid, *_product(rows, grid))
+    weights = simpson_weights(grid.n_points, grid.spacing)
+    return ProductPosterior(components, grid, *_product(rows, weights))
 
 
 def data_window(

@@ -25,7 +25,7 @@ from . import __version__ as _pkg_version
 from .bandwidth import h_opt_gamma, h_opt_normal
 from .estimators import AnalyticModel, DegenerateProduct, SubsetSample, _product, kde_rows
 from .kernels import from_name
-from .quadrature import Grid, integrate_values
+from .quadrature import Grid, integrate_values, simpson_weights
 
 
 class DegenerateMajority(RuntimeError):
@@ -136,10 +136,11 @@ def _replication(job) -> list[float | None]:
         kde_rows(s, [float(row[m]) for row in h_rows], kernel, grid)[:, 0]
         for m, s in enumerate(samples)
     ])
+    weights = simpson_weights(grid.n_points, grid.spacing)
     out: list[float | None] = []
     for r in range(len(h_rows)):
         try:
-            _, values = _product(rows[:, r], grid)
+            _, values = _product(rows[:, r], weights)
         except DegenerateProduct:
             out.append(None)
             continue

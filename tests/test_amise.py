@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from parkde import amise
 from parkde.amise import (
     AmiseCoefficients,
     _coefficients,
@@ -15,8 +16,15 @@ from parkde.amise import (
     empirical_coefficients,
     variance_leading,
 )
-from parkde.bandwidth import h_opt_normal
-from parkde.estimators import AnalyticModel, SubsetSample, fit_subset_kde, normalize
+from parkde.bandwidth import ab_constants, h_opt_normal
+from parkde.estimators import (
+    AnalyticModel,
+    DegenerateProduct,
+    SubsetSample,
+    fit_subset_kde,
+    grid_rows,
+    normalize,
+)
 from parkde.kernels import from_name
 from parkde.quadrature import Grid, argmin_scalar, gradient_fd, integrate_values
 
@@ -187,6 +195,92 @@ def test_prod_except_matches_direct_products(P):
     L = _prod_except(P)
     for m in range(len(P)):
         np.testing.assert_allclose(L[m], np.prod(np.delete(P, m, axis=0), axis=0), rtol=1e-15)
+
+
+def _model_and_grid(family, M, points=2001):
+    if family == "normal":
+        model = AnalyticModel.normal(0.3, 1.2, M)
+    else:
+        model = AnalyticModel.gamma(3.0, 3.0, M)
+    return model, Grid(*model.window(), points)
+
+
+def test_model_integrals_are_built_once_per_model_and_grid(monkeypatch):
+    amise._model_integrals.cache_clear()
+    calls = []
+
+    def counting_grid_rows(source, grid, derivs=(0,)):
+        calls.append(source)
+        return grid_rows(source, grid, derivs)
+
+    monkeypatch.setattr(amise, "grid_rows", counting_grid_rows)
+    model, grid = _model_and_grid("gamma", 4)
+    for h in (0.2, 0.3, 0.4):
+        amise_bar(model, [500] * 4, [h] * 4, grid)
+        amise_bar(model, [900] * 4, [h] * 4, grid)
+    ab_constants(model, grid)
+    assert len(calls) == 1
+    # another grid is another entry
+    amise_bar(model, [500] * 4, [0.3] * 4, Grid(*model.window(), 2000))
+    assert len(calls) == 2
+    # density callables and KDEs are put on the grid on every call
+    for _ in range(2):
+        amise_bar([model.subset] * 4, [500] * 4, [0.3] * 4, grid)
+    assert len(calls) == 4
+    post = make_posterior(seed=1, M=3, n=200, h=0.4, pts=401)
+    for _ in range(2):
+        empirical_coefficients(post)
+    assert len(calls) == 6
+    assert amise._model_integrals.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("family", ["normal", "gamma"])
+@pytest.mark.parametrize("M", [1, 2, 32])
+def test_memoized_coefficients_equal_a_cold_build(family, M):
+    amise._model_integrals.cache_clear()
+    model, grid = _model_and_grid(family, M)
+    N1 = 100.0 + 37.0 * np.arange(M)
+    N2 = 5000.0 - 11.0 * np.arange(M)
+    cold1 = _coefficients(model, N1, grid)
+    amise._model_integrals.cache_clear()
+    cold2 = _coefficients(model, N2, grid)
+    warm1 = _coefficients(model, N1, grid)
+    warm2 = _coefficients(model, N2, grid)
+    # two N vectors share one entry, built once
+    info = amise._model_integrals.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    for cold, warm in ((cold1, warm1), (cold2, warm2)):
+        np.testing.assert_array_equal(warm.beta, cold.beta)
+        np.testing.assert_array_equal(warm.nu, cold.nu)
+    # N moves nu alone
+    np.testing.assert_array_equal(warm2.beta, warm1.beta)
+    assert not np.any(warm2.nu == warm1.nu)
+
+
+@pytest.mark.parametrize("M", [1, 3])
+def test_changing_returned_coefficients_leaves_the_memo_alone(M):
+    amise._model_integrals.cache_clear()
+    model, grid = _model_and_grid("normal", M)
+    N, h = [400, 500, 600][:M], [0.2, 0.3, 0.4][:M]
+    first = _coefficients(model, N, grid)
+    beta, nu, value = first.beta.copy(), first.nu.copy(), amise_bar(model, N, h, grid)
+    first.beta[:] = -1.0
+    first.nu[:] = 1.0
+    again = _coefficients(model, N, grid)
+    np.testing.assert_array_equal(again.beta, beta)
+    np.testing.assert_array_equal(again.nu, nu)
+    assert amise_bar(model, N, h, grid) == value
+
+
+def test_a_model_that_raises_raises_on_every_call():
+    amise._model_integrals.cache_clear()
+    # lambda = int phi^1024 is about 1e-407, below the smallest double
+    model, grid = _model_and_grid("normal", 1024)
+    for _ in range(2):
+        with pytest.raises(DegenerateProduct):
+            amise_bar(model, [500] * 1024, [0.3] * 1024, grid)
+    info = amise._model_integrals.cache_info()
+    assert (info.currsize, info.misses) == (0, 2)
 
 
 def test_empirical_coefficients_match_plugin_error_functional():
