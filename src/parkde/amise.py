@@ -174,7 +174,7 @@ def _integrals(source, k: int, grid: Grid):
     return c**2 * kernel.roughness, dens, beta
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64)  # an entry is a few hundred bytes at any M and G
 def _model_integrals(model: AnalyticModel, grid: Grid):
     """`_integrals` of a model's one subset density, M times in the product.
 

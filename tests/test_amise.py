@@ -144,16 +144,20 @@ def test_amise_bar_matches_four_term_functional(family, M, points):
     )
 
 
+def _model_and_grid(family, M, points=2001):
+    if family == "normal":
+        model = AnalyticModel.normal(0.3, 1.2, M)
+    else:
+        model = AnalyticModel.gamma(3.0, 3.0, M)
+    return model, Grid(*model.window(), points)
+
+
 @pytest.mark.parametrize("family", ["normal", "gamma"])
 @pytest.mark.parametrize("M", [1, 2, 4, 32, 64])
 @pytest.mark.parametrize("points", [2001, 2000])
 def test_model_coefficients_match_its_subset_densities(family, M, points):
     # a model's one row with multiplicity M against M rows of multiplicity 1
-    if family == "normal":
-        model = AnalyticModel.normal(0.3, 1.2, M)
-    else:
-        model = AnalyticModel.gamma(3.0, 3.0, M)
-    grid = Grid(*model.window(), points)
+    model, grid = _model_and_grid(family, M, points)
     N = 100.0 + 37.0 * np.arange(M)
     shared = _coefficients(model, N, grid)
     rows = _coefficients([model.subset] * M, N, grid)
@@ -195,14 +199,6 @@ def test_prod_except_matches_direct_products(P):
     L = _prod_except(P)
     for m in range(len(P)):
         np.testing.assert_allclose(L[m], np.prod(np.delete(P, m, axis=0), axis=0), rtol=1e-15)
-
-
-def _model_and_grid(family, M, points=2001):
-    if family == "normal":
-        model = AnalyticModel.normal(0.3, 1.2, M)
-    else:
-        model = AnalyticModel.gamma(3.0, 3.0, M)
-    return model, Grid(*model.window(), points)
 
 
 def test_model_integrals_are_built_once_per_model_and_grid(monkeypatch):
