@@ -174,12 +174,13 @@ def _integrals(source, k: int, grid: Grid):
     return c**2 * kernel.roughness, dens, beta
 
 
-@lru_cache(maxsize=64)  # an entry is a few hundred bytes at any M and G
+@lru_cache(maxsize=64)
 def _model_integrals(model: AnalyticModel, grid: Grid):
     """`_integrals` of a model's one subset density, M times in the product.
 
-    Memoized per (model, grid), read-only: an entry holds a 1 x 1 beta, one
-    nu integral and c^2 R(K) at any M and G. Exceptions are not cached.
+    Memoized per (model, grid), read-only. An entry holds a 1 x 1 beta, one
+    nu integral and c^2 R(K), a few hundred bytes at any M and G, so 64 of
+    them cost a few kB. Exceptions are not cached.
     """
     c2_roughness, dens, beta = _integrals(replace(model, M=1), model.M, grid)
     dens.flags.writeable = False
