@@ -130,6 +130,8 @@ def _coefficients(source, N, grid: Grid) -> AmiseCoefficients:
     integrals are memoized per (model, grid); each callable or KDE of a
     sequence has k = 1 and is put on the grid on every call. beta and nu's
     integrals are then repeated out to the M subsets, and nu is divided by N.
+    An integral that is not finite is a FloatingPointError: the data are
+    valid but the product's scale overflows.
     """
     if isinstance(source, AnalyticModel):
         k = source.M
@@ -137,6 +139,8 @@ def _coefficients(source, N, grid: Grid) -> AmiseCoefficients:
     else:
         k = 1
         c2_roughness, dens, beta = _integrals(source, k, grid)
+    if not (np.isfinite(c2_roughness) and np.isfinite(dens).all() and np.isfinite(beta).all()):
+        raise FloatingPointError("coefficient integrals overflowed: c^2 R(K), nu or beta")
     nu = c2_roughness / np.asarray(N, dtype=float) * dens.repeat(k)
     return AmiseCoefficients(beta.repeat(k, axis=0).repeat(k, axis=1), nu, len(nu))
 
@@ -152,7 +156,9 @@ def _integrals(source, k: int, grid: Grid):
     P, Pdd = grid_rows(source, grid, (0, 2))
     w = simpson_weights(grid.n_points, grid.spacing)
     Pk = P if k == 1 else P**k
-    lam, values = _product(Pk, w)
+    (lam,), (values,), (err,) = _product(Pk[:, None], w)
+    if err is not None:
+        raise err
     if not (np.isfinite(P).all() and np.isfinite(Pdd).all()):
         raise ValueError("non-finite density or curvature values on the grid")
     kernel = from_name("gaussian")

@@ -57,7 +57,7 @@ def _load_subsets(directory: str) -> list[SubsetSample]:
             raise CliError(f"cannot read {path}: {exc}", EXIT_IO)
         tokens = text.replace(",", " ").split()
         try:
-            values = np.array([float(t) for t in tokens])
+            values = np.array(tokens, dtype=float)
         except ValueError as exc:
             raise CliError(f"non-numeric entry in {path}: {exc}", EXIT_CONFIG)
         try:

@@ -88,55 +88,69 @@ class SubsetKde:
 
 
 def kde_rows(
-    sample: SubsetSample,
-    bandwidths: Sequence[float],
+    samples: Sequence[SubsetSample],
+    bandwidths: Sequence[Sequence[float]],
     kernel: Kernel,
     grid: Grid,
     derivs: Sequence[int] = (0,),
 ) -> np.ndarray:
-    """KDE derivatives at grid.points, shape (len(bandwidths), len(derivs), G).
+    """KDE derivatives of M samples at grid.points for an (M, R) array of
+    bandwidths, shape (M, R, len(derivs), G): row [m, r] is sample m's KDE
+    at bandwidth [m, r].
 
-    The one way a subset KDE is evaluated on a grid. The sample is binned
-    linearly once, onto the grid extended by the largest L = ceil(reach h /
-    spacing) points on each side, and each bandwidth convolves the central
-    G + 2L bins with the kernel at offsets -L..L (Wand 1994, JCGS 3:433).
-    Positions are taken from grid.lo and every draw keeps the weight it puts
-    into the extended bins, so a bin's weight does not depend on L and each
-    row equals the row of a one-bandwidth call bit for bit. Values are sums
-    of non-negative terms and exactly zero farther than reach h from every
-    draw. A bandwidth's rows come from the exact sum instead when linear
-    binning is too coarse (fewer than _MIN_BINS_PER_H grid spacings per
-    bandwidth) or the kernel reaches farther than the grid is long (L > G),
-    where the bins and the kernel table would outgrow the grid.
+    The one way a subset KDE is evaluated on a grid. Each sample is binned
+    linearly once, into its own row of one array over the grid extended by
+    the largest L = ceil(reach h / spacing) points on each side, and each
+    (sample, bandwidth) convolves the central G + 2L bins of its row with
+    the kernel at offsets -L..L (Wand 1994, JCGS 3:433); that kernel table
+    is built once per distinct (h, n, deriv). Positions are taken from
+    grid.lo and every draw keeps the weight it puts into the extended bins,
+    so a bin's weight does not depend on L and each row equals the row of a
+    one-sample, one-bandwidth call bit for bit. Values are sums of
+    non-negative terms and exactly zero farther than reach h from every
+    draw. A row comes from the exact sum instead when linear binning is too
+    coarse (fewer than _MIN_BINS_PER_H grid spacings per bandwidth) or the
+    kernel reaches farther than the grid is long (L > G), where the bins and
+    the kernel table would outgrow the grid.
     """
-    dx, G, n = grid.spacing, grid.n_points, sample.size
-    out = np.empty((len(bandwidths), len(derivs), G))
+    h_all = np.asarray(bandwidths, dtype=float)
+    if h_all.ndim != 2 or h_all.shape[0] != len(samples):
+        raise ValueError(
+            f"bandwidths must have shape ({len(samples)}, R), got {h_all.shape}"
+        )
+    dx, G = grid.spacing, grid.n_points
+    out = np.empty(h_all.shape + (len(derivs), G))
     binned = []
-    for i, h in enumerate(bandwidths):
+    for (m, r), h in np.ndenumerate(h_all):
+        h = float(h)
         reach = kernel.reach * h / dx  # in grid spacings
         if h < _MIN_BINS_PER_H * dx or reach > G:
-            kde = SubsetKde(sample, h, kernel)
-            out[i] = [kde(grid.points, d) for d in derivs]
+            kde = SubsetKde(samples[m], h, kernel)
+            out[m, r] = [kde(grid.points, d) for d in derivs]
         else:
-            binned.append((i, h, math.ceil(reach)))
+            binned.append((m, r, h, math.ceil(reach)))
     if not binned:
         return out
-    top = max(L for _, _, L in binned)
-    u = (sample.values - grid.lo) / dx
-    # draws that put weight into grid points -top..G-1+top
-    u = u[(u >= -1.0 - top) & (u < G + top)]
-    j = np.floor(u)
-    frac = u - j
-    j = j.astype(np.intp) + top + 1  # grid point k is bin k + top + 1
-    bins = np.bincount(j, weights=1.0 - frac, minlength=G + 2 * top + 2)
-    bins[1:] += np.bincount(j, weights=frac, minlength=G + 2 * top + 1)
-    for i, h, L in binned:
-        central = bins[top + 1 - L : top + 1 + G + L]
-        t = np.arange(-L, L + 1) * (dx / h)
+    top = max(L for *_, L in binned)
+    bins = np.empty((len(samples), G + 2 * top + 2))
+    for row, sample in zip(bins, samples):
+        u = (sample.values - grid.lo) / dx
+        # draws that put weight into grid points -top..G-1+top
+        u = u[(u >= -1.0 - top) & (u < G + top)]
+        j = np.floor(u)
+        frac = u - j
+        j = j.astype(np.intp) + top + 1  # grid point k is bin k + top + 1
+        row[:] = np.bincount(j, weights=1.0 - frac, minlength=G + 2 * top + 2)
+        row[1:] += np.bincount(j, weights=frac, minlength=G + 2 * top + 1)
+    tables = {}
+    for m, r, h, L in binned:
+        n = samples[m].size
+        central = bins[m, top + 1 - L : top + 1 + G + L]
         for k, d in enumerate(derivs):
-            out[i, k] = np.convolve(
-                central, kernel.deriv(t, d) / (n * h ** (d + 1)), mode="valid"
-            )
+            if (h, n, d) not in tables:
+                t = np.arange(-L, L + 1) * (dx / h)
+                tables[h, n, d] = kernel.deriv(t, d) / (n * h ** (d + 1))
+            out[m, r, k] = np.convolve(central, tables[h, n, d], mode="valid")
     return out
 
 
@@ -147,22 +161,33 @@ def fit_subset_kde(sample: SubsetSample, h: float, kernel: Kernel) -> SubsetKde:
     return SubsetKde(sample, float(h), kernel)
 
 
-def _product(rows: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray]:
-    """Multiply the (M, G) rows of M densities on a grid and normalize the
-    product: its mass lambda, by the grid's Simpson weights, and the
-    normalized values. The one place a product is formed and its mass
-    integrated and checked."""
+def _product(
+    rows: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[DegenerateProduct | None]]:
+    """Multiply the (M, R, G) rows of R products of M densities on a grid and
+    normalize each product: its mass lambda, by the grid's Simpson weights,
+    and its normalized values. Returns the (R,) masses, the (R, G) values and
+    per product None or the DegenerateProduct its mass fails with; a failed
+    product's values are not normalized. The one place a product is formed
+    and its mass integrated and checked. Each mass is its own 1-D dot
+    product, so a product's bits do not depend on R.
+    """
     vals = np.prod(rows, axis=0)
-    lam = vals @ weights
-    if not math.isfinite(lam):
-        raise DegenerateProduct(
-            f"product mass is {lam}; the product of the subset densities overflowed"
-        )
-    if lam <= DEGENERATE_LAMBDA:
-        raise DegenerateProduct(
-            f"product mass {lam!r} underflowed; subset supports nearly disjoint"
-        )
-    return lam, vals / lam
+    lams = np.array([v @ weights for v in vals])
+    failed = []
+    for lam in lams:
+        if not math.isfinite(lam):
+            failed.append(DegenerateProduct(
+                f"product mass is {lam}; the product of the subset densities overflowed"
+            ))
+        elif lam <= DEGENERATE_LAMBDA:
+            failed.append(DegenerateProduct(
+                f"product mass {lam!r} underflowed; subset supports nearly disjoint"
+            ))
+        else:
+            failed.append(None)
+    ok = np.array([err is None for err in failed])
+    return lams, vals / np.where(ok, lams, 1.0)[:, None], failed
 
 
 @dataclass(frozen=True)
@@ -196,9 +221,10 @@ def grid_rows(source, grid: Grid, derivs: Sequence[int] = (0,)) -> np.ndarray:
     put on a grid.
 
     A model's one subset density is evaluated once and its rows repeated M
-    times. Otherwise source is a sequence of subset KDEs, which go to
-    `kde_rows`, and density callables of (x, deriv), such as
-    `AnalyticModel.subset`.
+    times. Otherwise source is a sequence of subset KDEs and density
+    callables of (x, deriv), such as `AnalyticModel.subset`: the KDEs that
+    share a kernel go to one `kde_rows` call, and each callable is evaluated
+    at the grid points.
     """
     if isinstance(source, AnalyticModel):
         x = grid.points
@@ -206,11 +232,19 @@ def grid_rows(source, grid: Grid, derivs: Sequence[int] = (0,)) -> np.ndarray:
         return np.repeat(rows[:, None], source.M, axis=1)
     if not source:
         raise ValueError("need at least one density component")
-    return np.stack([
-        kde_rows(c.sample, [c.bandwidth], c.kernel, grid, derivs)[0]
-        if isinstance(c, SubsetKde) else np.stack([c(grid.points, d) for d in derivs])
-        for c in source
-    ], axis=1)
+    out = np.empty((len(derivs), len(source), grid.n_points))
+    by_kernel: dict[Kernel, list[int]] = {}
+    for m, c in enumerate(source):
+        if isinstance(c, SubsetKde):
+            by_kernel.setdefault(c.kernel, []).append(m)
+        else:
+            out[:, m] = np.stack([c(grid.points, d) for d in derivs])
+    for kernel, ms in by_kernel.items():
+        kdes = [source[m] for m in ms]
+        rows = kde_rows([c.sample for c in kdes], [[c.bandwidth] for c in kdes],
+                        kernel, grid, derivs)
+        out[:, ms] = rows[:, 0].swapaxes(0, 1)
+    return out
 
 
 def normalize(components: Sequence[SubsetKde], grid: Grid) -> ProductPosterior:
@@ -222,7 +256,10 @@ def normalize(components: Sequence[SubsetKde], grid: Grid) -> ProductPosterior:
     components = tuple(components)
     rows = grid_rows(components, grid)[0]
     weights = simpson_weights(grid.n_points, grid.spacing)
-    return ProductPosterior(components, grid, *_product(rows, weights))
+    (lam,), (values,), (err,) = _product(rows[:, None], weights)
+    if err is not None:
+        raise err
+    return ProductPosterior(components, grid, lam, values)
 
 
 def data_window(

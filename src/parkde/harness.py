@@ -23,9 +23,9 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .bandwidth import h_opt_gamma, h_opt_normal
-from .estimators import AnalyticModel, DegenerateProduct, SubsetSample, _product, kde_rows
+from .estimators import AnalyticModel, SubsetSample, _product, kde_rows
 from .kernels import from_name
-from .quadrature import Grid, integrate_values, simpson_weights
+from .quadrature import Grid, simpson_weights
 
 
 class DegenerateMajority(RuntimeError):
@@ -124,28 +124,26 @@ def _replication(job) -> list[float | None]:
     """ISE of the normalized product for each bandwidth row on one replication.
 
     The samples are drawn once and reused for every row (common random
-    numbers), and each subset's sample is binned once for all rows; a
-    degenerate product gives None in its row.
+    numbers); one `kde_rows` call bins each subset's sample once for all
+    rows, and one `_product` call forms every row's product. A degenerate
+    product gives None in its row.
     """
     model, n, h_rows, seed, outer, rep, grid = job
     kernel = from_name("gaussian")
     samples = sample_model(model, n, seed, outer, rep)
     truth = np.asarray(model.posterior(grid.points), dtype=float)
     # (M, R, G): per subset, its KDE row at each h row's bandwidth
-    rows = np.stack([
-        kde_rows(s, [float(row[m]) for row in h_rows], kernel, grid)[:, 0]
-        for m, s in enumerate(samples)
-    ])
+    rows = kde_rows(samples, np.transpose(h_rows), kernel, grid)[:, :, 0]
     weights = simpson_weights(grid.n_points, grid.spacing)
-    out: list[float | None] = []
-    for r in range(len(h_rows)):
-        try:
-            _, values = _product(rows[:, r], weights)
-        except DegenerateProduct:
-            out.append(None)
-            continue
-        out.append(integrate_values((values - truth) ** 2, grid.spacing))
-    return out
+    _, values, failed = _product(rows, weights)
+    ok = [r for r, err in enumerate(failed) if err is None]
+    squared = (values[ok] - truth) ** 2
+    if not np.isfinite(squared).all():
+        raise ValueError("non-finite integrand values (density or derivative blow-up?)")
+    # a 1-D dot per row, as integrate_values takes it: one (R, G) @ (G,)
+    # product rounds differently
+    ises = iter([row @ weights for row in squared])
+    return [next(ises) if err is None else None for err in failed]
 
 
 def _ise_columns(
@@ -155,7 +153,9 @@ def _ise_columns(
     replication in replication order.
 
     Every replication job of every batch goes through one map: one process
-    pool of at most one worker per job, or this process for one worker.
+    pool of at most one worker per job, or this process for one worker. Jobs
+    are dispatched heaviest first (most h rows; a stable sort), so no worker
+    is left with a long job at the end; results come back in job order.
     Every bandwidth is checked once, before any job runs.
     """
     if replications < 2:
@@ -168,13 +168,18 @@ def _ise_columns(
         for model, n, h_rows, outer in batches
         for rep in range(replications)
     ]
+    order = sorted(range(len(jobs)), key=lambda i: len(jobs[i][2]), reverse=True)
+    heaviest_first = [jobs[i] for i in order]
     workers = min(workers, len(jobs))
     if workers > 1:
         chunksize = max(1, len(jobs) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replication, jobs, chunksize=chunksize))
+            done = list(pool.map(_replication, heaviest_first, chunksize=chunksize))
     else:
-        results = [_replication(job) for job in jobs]
+        done = [_replication(job) for job in heaviest_first]
+    results = [None] * len(jobs)
+    for i, ises in zip(order, done):
+        results[i] = ises
     return [
         list(zip(*results[b : b + replications]))
         for b in range(0, len(results), replications)

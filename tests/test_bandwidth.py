@@ -313,17 +313,19 @@ class TestOptimizeBandwidth:
         calls = []
         real = estimators.kde_rows
 
-        def counting(*args, **kwargs):
-            calls.append(args[3])
-            return real(*args, **kwargs)
+        def counting(samples, bandwidths, kernel, grid, *args, **kwargs):
+            calls.append((samples, np.shape(bandwidths), grid))
+            return real(samples, bandwidths, kernel, grid, *args, **kwargs)
 
         monkeypatch.setattr(estimators, "kde_rows", counting)
         subs = self.normal_subsets(3, 200, 1)
         grid = Grid(-4, 4, 401)
         res = optimize_bandwidth(subs, grid=grid)
         assert res.iterations == 1
-        assert len(calls) == 3
-        assert all(g == grid for g in calls)
+        # one call, on the fit's grid, with one bandwidth for each subset
+        ((samples, shape, g),) = calls
+        assert g == grid and shape == (3, 1)
+        assert len(samples) == 3 and all(a is b for a, b in zip(samples, subs))
 
     def test_trace_records_why_each_descent_stopped(self):
         subs = self.normal_subsets(3, 200, 1)

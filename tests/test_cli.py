@@ -138,6 +138,21 @@ class TestFit:
         assert "overflowed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_coefficients_are_numerical_failure(self, tmp_path, capsys):
+        # valid input: 300 subsets of N(0, 1) draws, whose product's mass is so
+        # small that c = 1 / lambda squared overflows in the coefficients
+        rng = np.random.default_rng(0)
+        d = tmp_path / "many"
+        d.mkdir()
+        for m in range(300):
+            values = rng.normal(0.0, 1.0, 500)
+            (d / f"subset_{m:03d}.txt").write_text("\n".join(repr(float(v)) for v in values))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["optimize", "--subsets", str(d), "--grid-lo", "-5", "--grid-hi", "5",
+                         "--grid-points", "801"])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+
 
 class TestOptimize:
     def test_trace_output(self, subset_dir, tmp_path, capsys):

@@ -81,12 +81,12 @@ class TestSubsetKde:
         rng = np.random.default_rng(2)
         kde = kde_of(rng.normal(0, 1, 80), 0.3)
         g = Grid(-2, 2, 201)  # h = 15 spacings: binned
-        p, pdd = kde_rows(kde.sample, [kde.bandwidth], kde.kernel, g, (0, 2))[0]
+        p, pdd = kde_rows([kde.sample], [[kde.bandwidth]], kde.kernel, g, (0, 2))[0, 0]
         np.testing.assert_array_equal(
-            p, kde_rows(kde.sample, [kde.bandwidth], kde.kernel, g)[0, 0]
+            p, kde_rows([kde.sample], [[kde.bandwidth]], kde.kernel, g)[0, 0, 0]
         )
         np.testing.assert_array_equal(
-            pdd, kde_rows(kde.sample, [kde.bandwidth], kde.kernel, g, (2,))[0, 0]
+            pdd, kde_rows([kde.sample], [[kde.bandwidth]], kde.kernel, g, (2,))[0, 0, 0]
         )
 
     @pytest.mark.parametrize("order", ["ascending", "shuffled"])
@@ -103,10 +103,35 @@ class TestSubsetKde:
         hs = [0.06, 0.078, 0.08, 0.13, 0.3, 0.7, 1e9]
         if order == "shuffled":
             hs = [hs[i] for i in rng.permutation(len(hs))]
-        rows = kde_rows(sample, hs, GAUSS, g, (0, 2))
+        (rows,) = kde_rows([sample], [hs], GAUSS, g, (0, 2))
         assert rows.shape == (len(hs), 2, g.n_points)
         for h, row in zip(hs, rows):
-            np.testing.assert_array_equal(row, kde_rows(sample, [h], GAUSS, g, (0, 2))[0])
+            np.testing.assert_array_equal(row, kde_rows([sample], [[h]], GAUSS, g, (0, 2))[0, 0])
+
+    def test_kde_rows_of_many_samples_match_one_sample_calls(self):
+        rng = np.random.default_rng(9)
+        g = Grid(-4, 4, 401)
+        # draws beyond the grid, beyond the h = 0.7 row's extension of 5.6 on
+        # each side, and half a spacing beyond the h = 0.3 row's extension
+        edge = (math.ceil(GAUSS.reach * 0.3 / g.spacing) + 0.5) * g.spacing
+        outside = [-12.0, -4.3, 4.6, 12.0, -4.0 - edge, 4.0 + edge]
+        # subsets 0 and 2 have one size and share h = 0.3, so one kernel table;
+        # subset 1 is smaller, so its h = 0.3 row needs a table of its own
+        samples = [
+            SubsetSample(np.concatenate([rng.normal(mu, 1, n), outside]))
+            for mu, n in ((0.0, 1500), (0.5, 300), (-0.3, 1500))
+        ]
+        # a bandwidth per (subset, column): 3 and 3.9 spacings and a reach
+        # beyond the grid fall back to the exact sum; the rest are binned
+        hs = [[0.3, 0.06, 0.13], [0.13, 0.3, 1e9], [0.7, 0.3, 0.078]]
+        rows = kde_rows(samples, hs, GAUSS, g, (0, 2))
+        assert rows.shape == (3, 3, 2, g.n_points)
+        for sample, h_row, got in zip(samples, hs, rows):
+            for h, row in zip(h_row, got):
+                want = kde_rows([sample], [[h]], GAUSS, g, (0, 2))[0, 0]
+                np.testing.assert_array_equal(row, want)
+        with pytest.raises(ValueError, match="bandwidths must have shape"):
+            kde_rows(samples, hs[:2], GAUSS, g)
 
     def test_on_grid_falls_back_to_the_exact_sum(self):
         values = np.random.default_rng(6).normal(0, 1, 500)
@@ -114,12 +139,12 @@ class TestSubsetKde:
         # 3.9 grid spacings per bandwidth, and a kernel reaching far beyond the grid
         for h in (0.039, 1e9):
             kde = kde_of(values, h)
-            rows = kde_rows(kde.sample, [kde.bandwidth], kde.kernel, g, (0, 2))[0]
+            rows = kde_rows([kde.sample], [[kde.bandwidth]], kde.kernel, g, (0, 2))[0, 0]
             np.testing.assert_array_equal(rows[0], kde(g.points, 0))
             np.testing.assert_array_equal(rows[1], kde(g.points, 2))
         kde = kde_of(values, 0.04)  # 4 spacings: binned
         assert not np.array_equal(
-            kde_rows(kde.sample, [kde.bandwidth], kde.kernel, g)[0, 0], kde(g.points)
+            kde_rows([kde.sample], [[kde.bandwidth]], kde.kernel, g)[0, 0, 0], kde(g.points)
         )
 
     @pytest.mark.parametrize("kernel,deriv", list(ON_GRID_BOUND))
@@ -133,7 +158,7 @@ class TestSubsetKde:
         outside = [-4.0 - 3.0 * h, -4.0 - 20.0 * h, 4.0 + 9.0 * h, 4.0]
         kde = kde_of(np.concatenate([rng.normal(0, 1, 4000), outside]), h, from_name(kernel))
         exact = kde(g.points, deriv)
-        binned = kde_rows(kde.sample, [kde.bandwidth], kde.kernel, g, (deriv,))[0, 0]
+        binned = kde_rows([kde.sample], [[kde.bandwidth]], kde.kernel, g, (deriv,))[0, 0, 0]
         err = np.abs(binned - exact).max() / np.abs(exact).max()
         assert err <= on_grid_bound(kernel, deriv, ratio)
 
@@ -154,7 +179,7 @@ class TestSubsetKde:
         with pytest.raises(ValueError):
             kde(0.0, 2)
         with pytest.raises(ValueError):
-            kde_rows(kde.sample, [kde.bandwidth], kde.kernel, Grid(-2, 2, 101), (0, 2))
+            kde_rows([kde.sample], [[kde.bandwidth]], kde.kernel, Grid(-2, 2, 101), (0, 2))
 
     def test_fit_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError):

@@ -5,18 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from parkde.estimators import AnalyticModel
+from parkde.estimators import AnalyticModel, _product, kde_rows
 from parkde.harness import (
     DegenerateMajority,
     ExperimentConfig,
     _curve,
+    _replication,
     closed_form_h,
     estimate_mise,
     run_experiment,
     sample_model,
     sweep_bandwidth,
 )
-from parkde.quadrature import Grid
+from parkde.kernels import from_name
+from parkde.quadrature import Grid, integrate_values, simpson_weights
 
 NORMAL4 = AnalyticModel.normal(0.0, 1.0, 4)
 
@@ -49,6 +51,41 @@ class TestSampleModel:
             sample_model(NORMAL4, 0, seed=1)
         with pytest.raises(ValueError):
             sample_model(NORMAL4, 10, seed=None)
+
+
+def per_row_replication(job):
+    """One replication the long way: per row, one KDE call per subset, one
+    product and one integral."""
+    model, n, h_rows, seed, outer, rep, grid = job
+    kernel = from_name("gaussian")
+    samples = sample_model(model, n, seed, outer, rep)
+    truth = model.posterior(grid.points)
+    weights = simpson_weights(grid.n_points, grid.spacing)
+    out = []
+    for h_row in h_rows:
+        rows = np.stack([kde_rows([s], [[h]], kernel, grid)[0, 0, 0] for s, h in zip(samples, h_row)])
+        _, (values,), (err,) = _product(rows[:, None], weights)
+        out.append(None if err else integrate_values((values - truth) ** 2, grid.spacing))
+    return out
+
+
+class TestReplication:
+    @pytest.mark.parametrize("model,grid", [
+        (NORMAL4, Grid(-4, 4, 401)),
+        (AnalyticModel.gamma(3.0, 3.0, 4), Grid(*AnalyticModel.gamma(3.0, 3.0, 4).window(), 401)),
+    ])
+    def test_equals_one_product_per_row(self, model, grid):
+        # rows of common and per-subset bandwidths, a row below 4 grid spacings
+        # (exact-sum fallback) and a row so narrow that the product underflows
+        dx = grid.spacing
+        h_rows = [(15 * dx,) * 4, (3 * dx,) * 4, (10 * dx, 20 * dx, 30 * dx, 40 * dx),
+                  (1e-4 * dx,) * 4]
+        for rep in range(3):
+            job = (model, 20, h_rows, 31, 0, rep, grid)
+            got = _replication(job)
+            assert got[3] is None
+            assert all(v is not None for v in got[:3])
+            assert got == per_row_replication(job)
 
 
 class TestEstimateMise:
@@ -356,6 +393,24 @@ class TestRunExperiment:
             assert len(hits) == int(r["degenerate_count"]) == 2
         # the outer-2 sweep: each of its 5 rows at both n
         assert len([e for e in entries if e["outer"] == 2]) == 2 * 5
+
+    def test_outputs_equal_at_any_worker_count(self, tmp_path):
+        # jobs of 2 rows (the policies) and 5 rows (the sweeps), dispatched
+        # heaviest first; single draws and narrow sweep bandwidths give some
+        # degenerate replications, in no column a majority
+        cfg = dict(M=4, n_per_subset=[1, 2], sweep_lo=0.1, sweep_hi=1.0, seed=3,
+                   grid_lo=-5.0, grid_hi=5.0, grid_points=401)
+        outputs = []
+        for workers in (1, 2, 3):
+            out = str(tmp_path / f"w{workers}")
+            with pytest.warns(UserWarning):
+                paths = run_experiment(self.small_cfg(tmp_path, output_dir=out, workers=workers, **cfg))
+            with open(paths["manifest"]) as fh:
+                degenerate = json.load(fh)["degenerate"]
+            csvs = [open(paths[k], "rb").read() for k in ("mise_vs_n", "ratio")]
+            outputs.append((csvs, degenerate))
+        assert outputs[0][1]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_rejects_fewer_than_one_worker(self, tmp_path):
         with pytest.raises(ValueError):

@@ -12,16 +12,28 @@ Running the script again with another workload and the same --out adds
 that workload to the file. The file holds
 both commits' shas (--before-sha/--after-sha), the Python and numpy
 versions, nproc, every pair's setup_s, ops_per_s and peak_rss_mb, and per
-metric the median and quartiles of each side and the number of pairs in
-which the after side was better. The script exits 1, naming the seed and
-side, when a run reports `correct: false` or failed operations; the file is
-written first, so those runs are kept.
+metric the median and quartiles of each side, the number of pairs in
+which the after side was better and three verdicts, each against the
+metric's bound in BENCHMARK.json (a share of the before side's median):
+
+- gain_shown: the after side is better in at least 9 of 10 pairs
+  (GAIN_SHARE of them) and its median is better than the before side's by
+  more than the before side's interquartile range;
+- worse_beyond_bound: the after side's median is worse than the before
+  side's by more than the bound;
+- unresolved: the before side's interquartile range is wider than the
+  bound, so the runs spread too widely to tell.
+
+The script exits 1, naming the seed and side, when a run reports
+`correct: false` or failed operations; the file is written first, so those
+runs are kept.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -30,7 +42,12 @@ import sys
 
 import numpy as np
 
-METRICS = {"setup_s": "lower", "ops_per_s": "higher", "peak_rss_mb": "lower"}
+BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "BENCHMARK.json")
+with open(BENCHMARK) as _fh:
+    # name -> {"better": "higher" or "lower", "bound": share of the before median}
+    METRICS = {m["name"]: m for m in json.load(_fh)["end_to_end"]}
+GAIN_SHARE = 0.9  # share of pairs the after side must win to show a gain
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -50,16 +67,24 @@ def spread(values: list[float]) -> dict:
 
 def summarize(pairs: list[dict]) -> dict:
     out = {}
-    for name, better in METRICS.items():
+    for name, metric in METRICS.items():
         before = [p["before"][name] for p in pairs]
         after = [p["after"][name] for p in pairs]
-        sign = 1.0 if better == "higher" else -1.0
+        sign = 1.0 if metric["better"] == "higher" else -1.0
+        b, a = spread(before), spread(after)
+        wins = sum(sign * (x - y) > 0 for x, y in zip(after, before))
+        gain = sign * (a["median"] - b["median"])  # > 0 when the after side is better
+        iqr = b["q3"] - b["q1"]
+        bound = metric["bound"] * abs(b["median"])
         out[name] = {
-            "better": better,
-            "before": spread(before),
-            "after": spread(after),
-            "median_ratio": statistics.median(a / b for a, b in zip(after, before)),
-            "after_better_pairs": sum(sign * (a - b) > 0 for a, b in zip(after, before)),
+            "better": metric["better"],
+            "before": b,
+            "after": a,
+            "median_ratio": statistics.median(x / y for x, y in zip(after, before)),
+            "after_better_pairs": wins,
+            "gain_shown": wins >= math.ceil(GAIN_SHARE * len(pairs)) and gain > iqr,
+            "worse_beyond_bound": -gain > bound,
+            "unresolved": iqr > bound,
         }
     return out
 
