@@ -28,6 +28,7 @@ are not memoized: they are put on the grid on every call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
@@ -130,8 +131,6 @@ def _coefficients(source, N, grid: Grid) -> AmiseCoefficients:
     integrals are memoized per (model, grid); each callable or KDE of a
     sequence has k = 1 and is put on the grid on every call. beta and nu's
     integrals are then repeated out to the M subsets, and nu is divided by N.
-    An integral that is not finite is a FloatingPointError: the data are
-    valid but the product's scale overflows.
     """
     if isinstance(source, AnalyticModel):
         k = source.M
@@ -139,8 +138,6 @@ def _coefficients(source, N, grid: Grid) -> AmiseCoefficients:
     else:
         k = 1
         c2_roughness, dens, beta = _integrals(source, k, grid)
-    if not (np.isfinite(c2_roughness) and np.isfinite(dens).all() and np.isfinite(beta).all()):
-        raise FloatingPointError("coefficient integrals overflowed: c^2 R(K), nu or beta")
     nu = c2_roughness / np.asarray(N, dtype=float) * dens.repeat(k)
     return AmiseCoefficients(beta.repeat(k, axis=0).repeat(k, axis=1), nu, len(nu))
 
@@ -151,7 +148,9 @@ def _integrals(source, k: int, grid: Grid):
     integrals int p_i L_i^2 and beta.
 
     The product p and c come from the same grid values as the curvatures.
-    P**1 is P and P**0 is 1, so the powers are skipped at k = 1.
+    P**1 is P and P**0 is 1, so the powers are skipped at k = 1. An
+    integral that is not finite raises FloatingPointError: the densities
+    are finite, so c = 1 / lambda overflowed.
     """
     P, Pdd = grid_rows(source, grid, (0, 2))
     w = simpson_weights(grid.n_points, grid.spacing)
@@ -177,7 +176,10 @@ def _integrals(source, k: int, grid: Grid):
     U = Q @ Q.T
     scale = (c * kernel.k2 / 2.0) ** 2
     beta = scale * (np.outer(I, I) * (p @ p) + U - 2.0 * np.outer(I, T))
-    return c**2 * kernel.roughness, dens, beta
+    c2_roughness = c**2 * kernel.roughness
+    if not (math.isfinite(c2_roughness) and np.isfinite(dens).all() and np.isfinite(beta).all()):
+        raise FloatingPointError("coefficient integrals overflowed: c^2 R(K), nu or beta")
+    return c2_roughness, dens, beta
 
 
 @lru_cache(maxsize=64)

@@ -173,9 +173,10 @@ def _product(
     product, so a product's bits do not depend on R.
     """
     vals = np.prod(rows, axis=0)
-    lams = np.array([v @ weights for v in vals])
+    lams = np.empty(len(vals))
     failed = []
-    for lam in lams:
+    for r, v in enumerate(vals):
+        lam = lams[r] = v @ weights
         if not math.isfinite(lam):
             failed.append(DegenerateProduct(
                 f"product mass is {lam}; the product of the subset densities overflowed"
@@ -185,9 +186,9 @@ def _product(
                 f"product mass {lam!r} underflowed; subset supports nearly disjoint"
             ))
         else:
+            v /= lam
             failed.append(None)
-    ok = np.array([err is None for err in failed])
-    return lams, vals / np.where(ok, lams, 1.0)[:, None], failed
+    return lams, vals, failed
 
 
 @dataclass(frozen=True)
