@@ -7,28 +7,28 @@ V = R(K) sum_m p_m L_m^2 / (N_m h_m). The normalized estimator's error
 functional weights B0 by c = 1 / int prod_m p_m and V by c^2; with
 p = c prod_m p_m it is sum_ij h_i^2 h_j^2 beta_ij + sum_i nu_i / h_i, where
 
-    beta_ij = (c k2 / 2)^2 (I_i I_j S + U_ij - 2 I_i T_j),
-    nu_i = c^2 R(K) int p_i L_i^2 / N_i,
+    beta_ij = (k2 / 2)^2 int r_i r_j,    r_i = c q_i - I_i p,
+    nu_i = R(K) int p_i (c L_i)^2 / N_i,
 
-I_i = int q_i, T_i = int q_i p, U_ij = int q_i q_j and S = int p^2 (Wand &
-Jones 1995, section 3.6). `_coefficients` alone forms beta and nu, over the
-distinct subset densities with their multiplicities, so a symmetric model's
-M identical densities cost one row; `amise_bar` is `amise_hat` of its
-coefficients for the true densities. K is the Gaussian kernel, the only one
-whose estimates have the curvatures p''.
+and I_i = int c q_i (Wand & Jones 1995, section 3.6). So beta is a Gram
+matrix, symmetric and positive semidefinite, and both need only the rows
+c L_i = L_i / lambda, never c or c^2. `_coefficients` alone forms beta and
+nu, over the distinct subset densities with their multiplicities, so a
+symmetric model's M identical densities cost one row; `amise_bar` is
+`amise_hat` of its coefficients for the true densities. K is the Gaussian
+kernel, the only one whose estimates have the curvatures p''.
 
-Only c^2 R(K), nu's integrals and beta need the grid, and none depends on h
-or N. For a model they are memoized per (model, grid) in a fixed-size LRU
-cache, so a bandwidth search and `ab_constants` on one model and grid
-integrate once; an entry holds one density's 1 x 1 beta, its nu integral and
-c^2 R(K), read-only, and each call repeats them out to fresh (M, M) and (M,)
-arrays. A model that raises is not cached. Subset KDEs and density callables
-are not memoized: they are put on the grid on every call.
+Only nu's integrals and beta need the grid, and neither depends on h or N.
+For a model they are memoized per (model, grid) in a fixed-size LRU cache,
+so a bandwidth search and `ab_constants` on one model and grid integrate
+once; an entry holds one density's 1 x 1 beta and its nu integral,
+read-only, and each call repeats them out to fresh (M, M) and (M,) arrays.
+A model that raises is not cached. Subset KDEs and density callables are
+not memoized: they are put on the grid on every call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
@@ -105,7 +105,7 @@ def amise_bar(source, N: Sequence[int], h: Sequence[float], grid: Grid) -> float
 class AmiseCoefficients:
     """Quadratic/reciprocal coefficients of the plug-in bandwidth surrogate."""
 
-    beta: np.ndarray  # (M, M), stored unsymmetrized
+    beta: np.ndarray  # (M, M); symmetric when built by `_coefficients`
     nu: np.ndarray  # (M,), positive
     M: int
 
@@ -134,23 +134,23 @@ def _coefficients(source, N, grid: Grid) -> AmiseCoefficients:
     """
     if isinstance(source, AnalyticModel):
         k = source.M
-        c2_roughness, dens, beta = _model_integrals(source, grid)
+        dens, beta = _model_integrals(source, grid)
     else:
         k = 1
-        c2_roughness, dens, beta = _integrals(source, k, grid)
-    nu = c2_roughness / np.asarray(N, dtype=float) * dens.repeat(k)
+        dens, beta = _integrals(source, k, grid)
+    nu = dens.repeat(k) / np.asarray(N, dtype=float)
     return AmiseCoefficients(beta.repeat(k, axis=0).repeat(k, axis=1), nu, len(nu))
 
 
 def _integrals(source, k: int, grid: Grid):
     """The N- and h-free part of the coefficients over source's distinct
-    subset densities P, each k times in the product: c^2 R(K), nu's
-    integrals int p_i L_i^2 and beta.
+    subset densities P, each k times in the product: nu's integrals
+    R(K) int p_i (c L_i)^2 and beta, the Gram matrix (k2 / 2)^2 int r_i r_j.
 
-    The product p and c come from the same grid values as the curvatures.
-    P**1 is P and P**0 is 1, so the powers are skipped at k = 1. An
-    integral that is not finite raises FloatingPointError: the densities
-    are finite, so c = 1 / lambda overflowed.
+    The product p and lambda come from the same grid values as the
+    curvatures, and every integral from the rows c L_i = L_i / lambda. P**1
+    is P and P**0 is 1, so the powers are skipped at k = 1. An integral that
+    is not finite raises FloatingPointError.
     """
     P, Pdd = grid_rows(source, grid, (0, 2))
     w = simpson_weights(grid.n_points, grid.spacing)
@@ -161,39 +161,35 @@ def _integrals(source, k: int, grid: Grid):
     if not (np.isfinite(P).all() and np.isfinite(Pdd).all()):
         raise ValueError("non-finite density or curvature values on the grid")
     kernel = from_name("gaussian")
-    c = 1.0 / lam
     L = _prod_except(Pk)
     if k > 1:
         L *= P ** (k - 1)
-    dens = np.einsum("mg,mg,mg,g->m", P, L, L, w)
-    # every remaining integral is a dot product of sqrt(w)-weighted rows
+    L /= lam
+    dens = kernel.roughness * np.einsum("mg,mg,mg,g->m", P, L, L, w)
+    # beta's integrals are dot products of the sqrt(w)-weighted rows r_i
     root_w = np.sqrt(w)
-    Q = np.multiply(L, Pdd, out=L)
-    Q *= root_w
-    p = values * root_w
-    I = Q @ root_w
-    T = Q @ p
-    U = Q @ Q.T
-    scale = (c * kernel.k2 / 2.0) ** 2
-    beta = scale * (np.outer(I, I) * (p @ p) + U - 2.0 * np.outer(I, T))
-    c2_roughness = c**2 * kernel.roughness
-    if not (math.isfinite(c2_roughness) and np.isfinite(dens).all() and np.isfinite(beta).all()):
-        raise FloatingPointError("coefficient integrals overflowed: c^2 R(K), nu or beta")
-    return c2_roughness, dens, beta
+    R = np.multiply(L, Pdd, out=L)
+    R *= root_w
+    I = R @ root_w
+    R -= np.outer(I, values * root_w)
+    beta = (kernel.k2 / 2.0) ** 2 * (R @ R.T)
+    if not (np.isfinite(dens).all() and np.isfinite(beta).all()):
+        raise FloatingPointError("coefficient integrals overflowed: nu or beta")
+    return dens, beta
 
 
 @lru_cache(maxsize=64)
 def _model_integrals(model: AnalyticModel, grid: Grid):
     """`_integrals` of a model's one subset density, M times in the product.
 
-    Memoized per (model, grid), read-only. An entry holds a 1 x 1 beta, one
-    nu integral and c^2 R(K), a few hundred bytes at any M and G, so 64 of
-    them cost a few kB. Exceptions are not cached.
+    Memoized per (model, grid), read-only. An entry holds a 1 x 1 beta and
+    one nu integral, a few hundred bytes at any M and G, so 64 of them cost
+    a few kB. Exceptions are not cached.
     """
-    c2_roughness, dens, beta = _integrals(replace(model, M=1), model.M, grid)
+    dens, beta = _integrals(replace(model, M=1), model.M, grid)
     dens.flags.writeable = False
     beta.flags.writeable = False
-    return c2_roughness, dens, beta
+    return dens, beta
 
 
 def empirical_coefficients(

@@ -78,7 +78,7 @@ class SubsetKde:
         scalar = x.ndim == 0
         h = self.bandwidth
         xs = x.reshape(-1, 1)
-        step = max(1, _BLOCK_PAIRS // xs.shape[0])
+        step = max(1, _BLOCK_PAIRS // max(1, len(xs)))
         vals = np.zeros(xs.shape[0])
         for lo in range(0, self.sample.size, step):
             t = (xs - self.sample.values[lo : lo + step]) / h

@@ -26,7 +26,7 @@ from parkde.estimators import (
     normalize,
 )
 from parkde.kernels import from_name
-from parkde.quadrature import Grid, argmin_scalar, gradient_fd, integrate_values
+from parkde.quadrature import Grid, argmin_scalar, gradient_fd, integrate_values, simpson_weights
 
 GAUSS = from_name("gaussian")
 SQRT_PI = math.sqrt(math.pi)
@@ -164,10 +164,42 @@ def test_model_coefficients_match_its_subset_densities(family, M, points):
     if M == 1:
         np.testing.assert_array_equal(shared.beta, rows.beta)
         np.testing.assert_array_equal(shared.nu, rows.nu)
-    # beta's three terms cancel by up to 1.1e4 (normal, M=64), which lifts
-    # the rows' own rounding in M-fold products to 8e-12 of beta
-    np.testing.assert_allclose(shared.beta, rows.beta, rtol=1e-11, atol=0)
+    np.testing.assert_allclose(shared.beta, rows.beta, rtol=1e-12, atol=0)
     np.testing.assert_allclose(shared.nu, rows.nu, rtol=1e-12, atol=0)
+
+
+def _three_term_beta(P, Pdd, grid):
+    """beta's symmetric part from its three cancelling terms,
+    c^2 (k2 / 2)^2 (I_i I_j S + U_ij - I_i T_j - I_j T_i) with I_i = int q_i,
+    T_i = int q_i p, U_ij = int q_i q_j and S = int p^2, in long double."""
+    P, Pdd = P.astype(np.longdouble), Pdd.astype(np.longdouble)
+    w = simpson_weights(grid.n_points, grid.spacing).astype(np.longdouble)
+    prod = np.prod(P, axis=0)
+    lam = prod @ w
+    p = prod / lam
+    Q = Pdd * np.stack([np.prod(np.delete(P, m, axis=0), axis=0) for m in range(len(P))])
+    I, T, S, U = Q @ w, (Q * p) @ w, (p * p) @ w, (Q * w) @ Q.T
+    IT = np.outer(I, T)
+    return (GAUSS.k2 / 2 / lam) ** 2 * (np.outer(I, I) * S + U - IT - IT.T)
+
+
+@pytest.mark.parametrize("M", [32, 64])
+def test_beta_matches_a_long_double_three_term_beta(M):
+    model, grid = _model_and_grid("normal", M)
+    densities = [model.subset] * M
+    P, Pdd = grid_rows(densities, grid, (0, 2))
+    beta = _coefficients(densities, np.ones(M), grid).beta
+    reference = _three_term_beta(P, Pdd, grid)
+    assert np.max(np.abs(beta - reference) / np.abs(reference)) <= 1e-13
+
+
+@pytest.mark.parametrize("M", [8, 32])
+def test_kde_beta_is_a_symmetric_positive_semidefinite_gram_matrix(M):
+    post = make_posterior(seed=M, M=M, n=500, h=h_opt_normal(500, M, 1.0), pts=801)
+    beta = empirical_coefficients(post).beta
+    np.testing.assert_array_equal(beta, beta.T)
+    eigenvalues = np.linalg.eigvalsh(beta)
+    assert eigenvalues[0] >= -1e-14 * eigenvalues[-1]
 
 
 def test_amise_bar_validates_bandwidths():

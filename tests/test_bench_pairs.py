@@ -89,3 +89,15 @@ def test_unresolved_when_the_before_side_spreads_past_the_bound(tmp_path, monkey
     wide = [60.0, 140.0, 70.0, 130.0, 100.0, 100.0, 65.0, 135.0, 90.0, 110.0]
     assert summary_of(tmp_path, monkeypatch, wide, wide) == {
         "gain_shown": False, "worse_beyond_bound": False, "unresolved": True}
+    # every after run better than every before run resolves the spread
+    assert not summary_of(tmp_path, monkeypatch, wide, [v + 81.0 for v in wide])["unresolved"]
+
+
+def test_one_seed_is_an_argument_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_tool().main([
+            "--before", "b", "--after", "a", "--before-sha", "a", "--after-sha", "b",
+            "--workload", "w", "--seeds", "11", "--out", "unused.json",
+        ])
+    assert exc.value.code == 2
+    assert "at least two seeds" in capsys.readouterr().err

@@ -138,21 +138,6 @@ class TestFit:
         assert "overflowed" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_overflowing_coefficients_are_numerical_failure(self, tmp_path, capsys):
-        # valid input: 300 subsets of N(0, 1) draws, whose product's mass is so
-        # small that c = 1 / lambda squared overflows in the coefficients
-        rng = np.random.default_rng(0)
-        d = tmp_path / "many"
-        d.mkdir()
-        for m in range(300):
-            values = rng.normal(0.0, 1.0, 500)
-            (d / f"subset_{m:03d}.txt").write_text("\n".join(repr(float(v)) for v in values))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["optimize", "--subsets", str(d), "--grid-lo", "-5", "--grid-hi", "5",
-                         "--grid-points", "801"])
-        assert code == EXIT_NUMERICAL
-        assert "numerical failure" in capsys.readouterr().err
-
 
 class TestOptimize:
     def test_trace_output(self, subset_dir, tmp_path, capsys):
@@ -176,6 +161,25 @@ class TestOptimize:
         assert 0 <= int(r[9]) <= int(r[8]) and int(r[8]) >= 1
         captured = capsys.readouterr()
         assert "h = " in captured.out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_many_agreeing_subsets_converge(self, tmp_path, capsys):
+        # valid input: 300 subsets of N(0, 1) draws, whose product's mass is
+        # about 1.7e-159, so 1 / lambda squared would overflow
+        rng = np.random.default_rng(0)
+        d = tmp_path / "many"
+        d.mkdir()
+        for m in range(300):
+            values = rng.normal(0.0, 1.0, 500)
+            (d / f"subset_{m:03d}.txt").write_text("\n".join(repr(float(v)) for v in values))
+        code = main(["optimize", "--subsets", str(d), "--grid-lo", "-5", "--grid-hi", "5",
+                     "--grid-points", "801"])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        h = np.array([float(v) for v in captured.out.split("\n")[0][len("h = "):].split(", ")])
+        assert h.shape == (300,) and np.all(np.isfinite(h)) and np.all(h > 0)
+        assert "converged = True" in captured.out
 
     def test_defaults_match_library(self, subset_dir, tmp_path):
         from parkde.bandwidth import optimize_bandwidth

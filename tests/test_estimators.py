@@ -197,6 +197,7 @@ class TestProduct:
         expected = kdes[0](x) * kdes[1](x) * kdes[2](x)
         np.testing.assert_allclose(post.posterior(x) * post.lambda_hat, expected, rtol=1e-13)
         assert post.posterior(x[5]) * post.lambda_hat == pytest.approx(expected[5], rel=1e-13)
+        assert post.posterior([]).shape == (0,)
 
     def test_normalized_product_integrates_to_one(self):
         rng = np.random.default_rng(4)

@@ -22,7 +22,10 @@ metric's bound in BENCHMARK.json (a share of the before side's median):
 - worse_beyond_bound: the after side's median is worse than the before
   side's by more than the bound;
 - unresolved: the before side's interquartile range is wider than the
-  bound, so the runs spread too widely to tell.
+  bound, so the runs spread too widely to tell, unless every after run is
+  better than every before run.
+
+--seeds takes at least two seeds, since the quartiles need two runs a side.
 
 The script exits 1, naming the seed and side, when a run reports
 `correct: false` or failed operations; the file is written first, so those
@@ -75,6 +78,7 @@ def summarize(pairs: list[dict]) -> dict:
         wins = sum(sign * (x - y) > 0 for x, y in zip(after, before))
         gain = sign * (a["median"] - b["median"])  # > 0 when the after side is better
         iqr = b["q3"] - b["q1"]
+        apart = min(sign * x for x in after) > max(sign * y for y in before)
         bound = metric["bound"] * abs(b["median"])
         out[name] = {
             "better": metric["better"],
@@ -84,7 +88,7 @@ def summarize(pairs: list[dict]) -> dict:
             "after_better_pairs": wins,
             "gain_shown": wins >= math.ceil(GAIN_SHARE * len(pairs)) and gain > iqr,
             "worse_beyond_bound": -gain > bound,
-            "unresolved": iqr > bound,
+            "unresolved": iqr > bound and not apart,
         }
     return out
 
@@ -100,6 +104,8 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
+    if len(args.seeds) < 2:
+        p.error("--seeds needs at least two seeds for the quartiles of each side")
 
     doc = {}
     if os.path.exists(args.out):
