@@ -23,7 +23,10 @@ For a model they are memoized per (model, grid) in a fixed-size LRU cache,
 so a bandwidth search and `ab_constants` on one model and grid integrate
 once; an entry holds one density's 1 x 1 beta and its nu integral,
 read-only, and each call repeats them out to fresh (M, M) and (M,) arrays.
-A model that raises is not cached. Subset KDEs and density callables are
+A second, smaller LRU cache keeps `amise_bar`'s finished coefficients per
+(model, N, grid), so each call of a search over h only evaluates the
+surrogate; its read-only arrays never leave the module. A model that
+raises is cached at neither level. Subset KDEs and density callables are
 not memoized: they are put on the grid on every call.
 """
 
@@ -96,9 +99,16 @@ def amise_bar(source, N: Sequence[int], h: Sequence[float], grid: Grid) -> float
 
     Feeds the coefficient builder the true densities of source (a model, or
     a list of density callables) and their second derivatives on the grid,
-    with sample sizes N, and evaluates the surrogate at h.
+    with sample sizes N, and evaluates the surrogate at h. A model's
+    coefficients come from `_model_coefficients`, so a search over h on one
+    (model, N, grid) builds them once.
     """
-    return amise_hat(_coefficients(source, N, grid), h)
+    if isinstance(source, AnalyticModel):
+        N = np.asarray(N, dtype=float)
+        coeffs = _model_coefficients(source, N.shape, tuple(N.ravel().tolist()), grid)
+    else:
+        coeffs = _coefficients(source, N, grid)
+    return amise_hat(coeffs, h)
 
 
 @dataclass(frozen=True)
@@ -190,6 +200,21 @@ def _model_integrals(model: AnalyticModel, grid: Grid):
     dens.flags.writeable = False
     beta.flags.writeable = False
     return dens, beta
+
+
+@lru_cache(maxsize=4)
+def _model_coefficients(model: AnalyticModel, shape: tuple, N: tuple, grid: Grid):
+    """`_coefficients` of a model for the sample sizes N (floats, with their
+    array shape), memoized per (model, N, grid) for `amise_bar` alone.
+
+    An entry's arrays are read-only and no caller receives them. Each entry
+    holds an M x M beta, so the worst case grows with M: 4 entries at M=700
+    take about 16 MB. Exceptions are not cached.
+    """
+    coeffs = _coefficients(model, np.reshape(N, shape), grid)
+    coeffs.beta.flags.writeable = False
+    coeffs.nu.flags.writeable = False
+    return coeffs
 
 
 def empirical_coefficients(

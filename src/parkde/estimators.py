@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -292,8 +293,11 @@ class AnalyticModel:
     theta: float = 1.0
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ValueError("M must be >= 1")
+        if not isinstance(self.M, numbers.Integral) or self.M < 1:
+            raise ValueError(f"M must be an integer >= 1, got {self.M!r}")
+        for name in ("mu", "sigma", "alpha", "theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.family == NORMAL_FAMILY:
             if self.sigma <= 0:
                 raise ValueError("sigma must be positive")

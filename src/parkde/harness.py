@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import platform
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Sequence
 
@@ -26,6 +26,22 @@ from .bandwidth import h_opt_gamma, h_opt_normal
 from .estimators import AnalyticModel, SubsetSample, _product, kde_rows
 from .kernels import from_name
 from .quadrature import Grid, simpson_weights
+
+
+def _pool_class():
+    """The process pool class, imported on first use: only a multi-worker
+    `_ise_columns` starts a pool, and `multiprocessing` would add to every
+    other command's start-up. A class set as this module's
+    `ProcessPoolExecutor` (to count pool starts) takes its place."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return globals().setdefault("ProcessPoolExecutor", ProcessPoolExecutor)
+
+
+def __getattr__(name):
+    if name == "ProcessPoolExecutor":
+        return _pool_class()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class DegenerateMajority(RuntimeError):
@@ -58,6 +74,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        counts = [(name, getattr(self, name)) for name in
+                  ("sweep_count", "replications", "outer_repeats", "grid_points", "workers")]
+        counts += [("n_per_subset", n) for n in self.n_per_subset]
+        for name, value in counts:
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replications < 2:
             raise ValueError("replications must be >= 2 for a standard error")
         if self.outer_repeats < 1:
@@ -173,7 +195,7 @@ def _ise_columns(
     workers = min(workers, len(jobs))
     if workers > 1:
         chunksize = max(1, len(jobs) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _pool_class()(max_workers=workers) as pool:
             done = list(pool.map(_replication, heaviest_first, chunksize=chunksize))
     else:
         done = [_replication(job) for job in heaviest_first]

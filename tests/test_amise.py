@@ -32,6 +32,14 @@ GAUSS = from_name("gaussian")
 SQRT_PI = math.sqrt(math.pi)
 
 
+@pytest.fixture(autouse=True)
+def cold_model_caches():
+    """Every test starts with both model caches empty, so counts taken from
+    them do not depend on which tests ran before."""
+    amise._model_integrals.cache_clear()
+    amise._model_coefficients.cache_clear()
+
+
 def make_posterior(seed, M, n, h, lo=-5.0, hi=5.0, pts=2001):
     model = AnalyticModel.normal(0.0, 1.0, M)
     rng = np.random.default_rng(seed)
@@ -309,6 +317,95 @@ def test_a_model_that_raises_raises_on_every_call():
             amise_bar(model, [500] * 1024, [0.3] * 1024, grid)
     info = amise._model_integrals.cache_info()
     assert (info.currsize, info.misses) == (0, 2)
+    info = amise._model_coefficients.cache_info()
+    assert (info.currsize, info.misses) == (0, 2)
+
+
+def test_a_search_builds_a_models_coefficients_once(monkeypatch):
+    builds = []
+
+    def counting_coefficients(source, N, grid):
+        builds.append(source)
+        return _coefficients(source, N, grid)
+
+    monkeypatch.setattr(amise, "_coefficients", counting_coefficients)
+    model, grid = _model_and_grid("gamma", 4)
+
+    def search(N, grid):
+        return argmin_scalar(lambda h: amise_bar(model, N, np.full(4, h), grid), 0.02, 4.0, 1e-7)
+
+    h_list, _ = search([500] * 4, grid)
+    # equal N as a tuple, an ndarray, ints or floats is the same entry
+    for N in ((500,) * 4, np.full(4, 500), np.full(4, 500.0), [500.0] * 4):
+        assert search(N, grid)[0] == h_list
+    assert len(builds) == 1
+    info = amise._model_coefficients.cache_info()
+    assert (info.currsize, info.misses) == (1, 1) and info.hits > 100
+    # another N or another grid is another entry
+    search([900] * 4, grid)
+    search([500] * 4, Grid(*model.window(), 2000))
+    assert len(builds) == 3
+    # density callables are built on every call
+    for _ in range(2):
+        amise_bar([model.subset] * 4, [500] * 4, [0.3] * 4, grid)
+    assert len(builds) == 5
+
+
+@pytest.mark.parametrize("family", ["normal", "gamma"])
+@pytest.mark.parametrize("M", [1, 2, 32])
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        lambda M: [400 + 37 * m for m in range(M)],
+        lambda M: [400.0 + 37.0 * m for m in range(M)],
+        lambda M: 400 + 37 * np.arange(M),
+        lambda M: 400.0 + 37.0 * np.arange(M),
+    ],
+    ids=["int list", "float list", "int array", "float array"],
+)
+def test_cached_amise_bar_equals_a_fresh_build(family, M, sizes):
+    model, grid = _model_and_grid(family, M)
+    N = sizes(M)
+    for h in (np.full(M, 0.3), np.linspace(0.1, 0.6, M)):
+        fresh = amise_hat(_coefficients(model, N, grid), h)
+        assert amise_bar(model, N, h, grid) == fresh  # built into the cache
+        assert amise_bar(model, N, h, grid) == fresh  # from the cache
+
+
+def test_cached_coefficients_are_read_only_and_never_handed_out():
+    model, grid = _model_and_grid("normal", 3)
+    N = [400, 500, 600]
+    assert isinstance(amise_bar(model, N, [0.3] * 3, grid), float)
+    entry = amise._model_coefficients(model, (3,), (400.0, 500.0, 600.0), grid)
+    assert amise._model_coefficients.cache_info().hits == 1
+    for array in (entry.beta, entry.nu):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    fresh = _coefficients(model, N, grid)
+    for array, cached in ((fresh.beta, entry.beta), (fresh.nu, entry.nu)):
+        assert array.flags.writeable and not np.shares_memory(array, cached)
+        np.testing.assert_array_equal(array, cached)
+    A, B = ab_constants(model, grid)
+    assert math.isfinite(A) and math.isfinite(B)
+
+
+@pytest.mark.parametrize(
+    "N",
+    [[500] * 3, [500, 500, 0], [500, -500, 500, 500], [[500] * 4], ["many"] * 4],
+    ids=["short", "zero", "negative", "two-dimensional", "not a number"],
+)
+def test_a_bad_sample_size_raises_on_every_call(N):
+    model, grid = _model_and_grid("normal", 4)
+    # a cached good N whose values a bad one repeats does not let it through
+    amise_bar(model, [500] * 4, [0.3] * 4, grid)
+    with pytest.raises(ValueError) as first:
+        _coefficients(model, N, grid)
+    for _ in range(2):
+        with pytest.raises(ValueError) as again:
+            amise_bar(model, N, [0.3] * 4, grid)
+        assert str(again.value) == str(first.value)
+    assert amise._model_coefficients.cache_info().currsize == 1
 
 
 def test_empirical_coefficients_match_plugin_error_functional():

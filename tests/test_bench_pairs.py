@@ -101,3 +101,36 @@ def test_one_seed_is_an_argument_error(capsys):
         ])
     assert exc.value.code == 2
     assert "at least two seeds" in capsys.readouterr().err
+
+
+def test_several_workloads_run_in_turn_into_one_file(tmp_path, monkeypatch, capsys):
+    bench = load_tool()
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((workload, seed, checkout))
+        return {"setup_s": 1.0, "ops_per_s": 2.0, "peak_rss_mb": 3.0,
+                "correct": not (workload == "v" and seed == 12 and checkout == "before-dir"),
+                "attempted": 4, "failed": 0}
+
+    monkeypatch.setattr(bench, "run", fake_run)
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"workloads": {"kept": {"pairs": [], "summary": {}}}}))
+    code = bench.main([
+        "--before", "before-dir", "--after", "after-dir", "--before-sha", "a",
+        "--after-sha", "b", "--workload", "w", "v", "--seeds", "11", "12", "--out", str(out),
+    ])
+    assert code == 1
+    assert "v seed 12 before" in capsys.readouterr().err
+    # each workload's pairs alternate which side runs first
+    assert calls == [
+        (w, seed, side)
+        for w in ("w", "v")
+        for seed, side in ((11, "before-dir"), (11, "after-dir"),
+                           (12, "after-dir"), (12, "before-dir"))
+    ]
+    workloads = json.loads(out.read_text())["workloads"]
+    assert sorted(workloads) == ["kept", "v", "w"]
+    for name in ("v", "w"):
+        assert [p["seed"] for p in workloads[name]["pairs"]] == [11, 12]
+        assert workloads[name]["summary"]["ops_per_s"]["after_better_pairs"] == 0

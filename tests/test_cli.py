@@ -294,6 +294,27 @@ class TestMiseSweep:
         err = capsys.readouterr().err
         assert "h_opt_gamma overflows a float for alpha=1e+300, M=4" in err
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--family", "gamma", "--alpha", "nan"], "alpha"),
+            (["--family", "gamma", "--theta", "inf"], "theta"),
+            (["--family", "normal", "--mu", "nan"], "mu"),
+            (["--family", "normal", "--sigma", "inf"], "sigma"),
+        ],
+    )
+    def test_non_finite_model_parameter_is_config_error(self, tmp_path, capsys, flags, name):
+        code = main([
+            "mise-sweep", *flags, "-M", "2", "--n", "100", "--replications", "3",
+            "--sweep-count", "5", "--grid-lo", "0.1", "--grid-hi", "30",
+            "--grid-points", "201", "--seed", "1", "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{name} must be finite" in err
+        assert "Warning" not in err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_removed_policy_flags_rejected(self, capsys):
         for flag in (["--h-policy", "fixed"], ["--h-fixed", "0.3"]):
             with pytest.raises(SystemExit) as exc:
@@ -434,6 +455,28 @@ class TestExperimentAndReport:
             "sweep_count": 5, "output_dir": str(tmp_path / "out"),
         }))
         assert main(["experiment", "--config", str(cfg_path), "--seed", "1"]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("workers", 1.5),
+            ("replications", 3.5),
+            ("grid_points", 201.5),
+            ("n_per_subset", [100.5]),
+            ("M", 2.0),  # an integral float is rejected too
+            ("sweep_count", 5.0),
+            ("outer_repeats", 1.5),
+        ],
+    )
+    def test_non_integer_count_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = {"family": "normal", "M": 2, "n_per_subset": [100], "replications": 3,
+               "outer_repeats": 1, "sweep_count": 5, "grid_points": 201,
+               "output_dir": str(tmp_path / "out"), key: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(cfg_path), "--seed", "1"]) == EXIT_CONFIG
+        assert f"{key} must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from parkde.bandwidth import GammaDomain
 from parkde.estimators import (
     AnalyticModel,
     DegenerateProduct,
@@ -285,6 +286,23 @@ class TestAnalyticModel:
             AnalyticModel("cauchy", 2)
         with pytest.raises(ValueError):
             AnalyticModel.normal(0.0, 1.0, 0)
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [("normal", {"mu": math.nan}), ("normal", {"sigma": math.inf}),
+         ("gamma", {"alpha": math.nan}), ("gamma", {"theta": math.inf}),
+         ("gamma", {"mu": -math.inf})],
+    )
+    def test_non_finite_parameters_are_rejected(self, family, params):
+        (name,) = params
+        with pytest.raises(ValueError, match=f"{name} must be finite") as exc:
+            AnalyticModel(family, 4, **params)
+        assert not isinstance(exc.value, GammaDomain)
+
+    def test_M_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="M must be an integer"):
+            AnalyticModel.normal(0.0, 1.0, 2.0)
+        assert AnalyticModel.normal(0.0, 1.0, np.int64(2)) == AnalyticModel.normal(0.0, 1.0, 2)
 
     def test_sampling_determinism_and_support(self):
         m = AnalyticModel.gamma(3.0, 3.0, 1)

@@ -130,3 +130,19 @@ def test_package_imports_no_scipy():
     )
     assert done.stdout.strip() == "[]"
     assert "scipy" not in (ROOT / "pyproject.toml").read_text()
+
+
+def test_cli_import_starts_without_the_process_pool():
+    # multiprocessing pulls in socket, selectors and logging; only a
+    # multi-worker experiment needs it
+    probe = (
+        "import sys, parkde.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.stdout.strip() == "[]"

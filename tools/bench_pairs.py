@@ -2,14 +2,15 @@
 
     python3 tools/bench_pairs.py --before DIR --after DIR \\
         --before-sha SHA --after-sha SHA --out BENCH_<n>.json \\
-        --workload plugin_optimize --seeds 301 302 303 [--seconds 20]
+        --workload plugin_optimize amise_oracle --seeds 301 302 303 [--seconds 20]
 
 Each DIR is a checkout holding perfbench/ and src/ (for example a
-`git archive` of the commit). For every seed, perfbench/run.py runs once in
-each checkout, the before side first on even pairs and the after side first
-on odd ones, so drift of the host's speed falls on both sides alike.
-Running the script again with another workload and the same --out adds
-that workload to the file. The file holds
+`git archive` of the commit). --workload takes one or more names, run in
+turn. For every workload and seed, perfbench/run.py runs once in each
+checkout, the before side first on even pairs and the after side first on
+odd ones, so drift of the host's speed falls on both sides alike. The file
+is written after each workload, and running the script again with other
+workloads and the same --out adds them to it. The file holds
 both commits' shas (--before-sha/--after-sha), the Python and numpy
 versions, nproc, every pair's setup_s, ops_per_s and peak_rss_mb, and per
 metric the median and quartiles of each side, the number of pairs in
@@ -27,9 +28,9 @@ metric's bound in BENCHMARK.json (a share of the before side's median):
 
 --seeds takes at least two seeds, since the quartiles need two runs a side.
 
-The script exits 1, naming the seed and side, when a run reports
-`correct: false` or failed operations; the file is written first, so those
-runs are kept.
+The script exits 1, naming the workload, seed and side, when a run reports
+`correct: false` or failed operations; every workload still runs and the
+file is written first, so those runs are kept.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def main(argv=None) -> int:
     p.add_argument("--after", required=True)
     p.add_argument("--before-sha", required=True)
     p.add_argument("--after-sha", required=True)
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", nargs="+", required=True)
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--out", required=True)
@@ -116,21 +117,24 @@ def main(argv=None) -> int:
         python=platform.python_version(), numpy=np.__version__, nproc=len(os.sched_getaffinity(0)),
         seconds_per_run=args.seconds,
     )
-    pairs = []
-    for k, seed in enumerate(args.seeds):
-        sides = [("before", args.before), ("after", args.after)][:: 1 if k % 2 == 0 else -1]
-        pair = {"seed": seed, "first": sides[0][0]}
-        pair.update((side, run(checkout, args.workload, seed, args.seconds))
-                    for side, checkout in sides)
-        pairs.append(pair)
-        print(json.dumps(pair), flush=True)
-    doc.setdefault("workloads", {})[args.workload] = {"pairs": pairs, "summary": summarize(pairs)}
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    bad = [f"seed {p['seed']} {side}: correct={p[side]['correct']}, failed={p[side]['failed']}"
-           for p in pairs for side in ("before", "after")
-           if not p[side]["correct"] or p[side]["failed"] > 0]
+    bad = []
+    for workload in args.workload:
+        pairs = []
+        for k, seed in enumerate(args.seeds):
+            sides = [("before", args.before), ("after", args.after)][:: 1 if k % 2 == 0 else -1]
+            pair = {"seed": seed, "first": sides[0][0]}
+            pair.update((side, run(checkout, workload, seed, args.seconds))
+                        for side, checkout in sides)
+            pairs.append(pair)
+            print(json.dumps({"workload": workload, **pair}), flush=True)
+        doc.setdefault("workloads", {})[workload] = {"pairs": pairs, "summary": summarize(pairs)}
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        bad += [f"{workload} seed {p['seed']} {side}: "
+                f"correct={p[side]['correct']}, failed={p[side]['failed']}"
+                for p in pairs for side in ("before", "after")
+                if not p[side]["correct"] or p[side]["failed"] > 0]
     for line in bad:
         print(f"incorrect run, {line}", file=sys.stderr)
     return 1 if bad else 0
