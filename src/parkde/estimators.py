@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -104,12 +105,15 @@ def kde_rows(
     the largest L = ceil(reach h / spacing) points on each side, and each
     (sample, bandwidth) convolves the central G + 2L bins of its row with
     the kernel at offsets -L..L (Wand 1994, JCGS 3:433); that kernel table
-    is built once per distinct (h, n, deriv). Positions are taken from
-    grid.lo and every draw keeps the weight it puts into the extended bins,
-    so a bin's weight does not depend on L and each row equals the row of a
-    one-sample, one-bandwidth call bit for bit. Values are sums of
-    non-negative terms and exactly zero farther than reach h from every
-    draw. A row comes from the exact sum instead when linear binning is too
+    comes from `_kernel_table`, a read-only LRU cache of 64 entries keyed by
+    (kernel, h, n, deriv, spacing), at most about 4 MB at G = 4001, so a
+    process builds each table once while the cache holds it. Positions are
+    taken from grid.lo and every draw keeps the weight it puts into the
+    extended bins, so a bin's weight does not depend on L and each row
+    equals the row of a one-sample, one-bandwidth call bit for bit. A
+    sample's in-window mask is built only when a draw lies outside the
+    extended window. Values are sums of non-negative terms and exactly zero
+    farther than reach h from every draw. A row comes from the exact sum instead when linear binning is too
     coarse (fewer than _MIN_BINS_PER_H grid spacings per bandwidth) or the
     kernel reaches farther than the grid is long (L > G), where the bins and
     the kernel table would outgrow the grid.
@@ -135,24 +139,42 @@ def kde_rows(
     top = max(L for *_, L in binned)
     bins = np.empty((len(samples), G + 2 * top + 2))
     for row, sample in zip(bins, samples):
-        u = (sample.values - grid.lo) / dx
+        u = np.subtract(sample.values, grid.lo)
+        u /= dx
         # draws that put weight into grid points -top..G-1+top
-        u = u[(u >= -1.0 - top) & (u < G + top)]
+        if u.min() < -1.0 - top or u.max() >= G + top:
+            u = u[(u >= -1.0 - top) & (u < G + top)]
         j = np.floor(u)
-        frac = u - j
-        j = j.astype(np.intp) + top + 1  # grid point k is bin k + top + 1
-        row[:] = np.bincount(j, weights=1.0 - frac, minlength=G + 2 * top + 2)
-        row[1:] += np.bincount(j, weights=frac, minlength=G + 2 * top + 1)
-    tables = {}
+        u -= j  # each draw's share of its weight in the bin above
+        j = j.astype(np.intp)
+        j += top + 1  # grid point k is bin k + top + 1
+        row[:] = np.bincount(j, weights=1.0 - u, minlength=G + 2 * top + 2)
+        row[1:] += np.bincount(j, weights=u, minlength=G + 2 * top + 1)
     for m, r, h, L in binned:
         n = samples[m].size
         central = bins[m, top + 1 - L : top + 1 + G + L]
         for k, d in enumerate(derivs):
-            if (h, n, d) not in tables:
-                t = np.arange(-L, L + 1) * (dx / h)
-                tables[h, n, d] = kernel.deriv(t, d) / (n * h ** (d + 1))
-            out[m, r, k] = np.convolve(central, tables[h, n, d], mode="valid")
+            out[m, r, k] = np.convolve(central, _kernel_table(kernel, h, n, d, dx), mode="valid")
     return out
+
+
+@lru_cache(maxsize=64)
+def _kernel_table(kernel: Kernel, h: float, n: int, deriv: int, spacing: float) -> np.ndarray:
+    """`kde_rows`' convolution weights for one bandwidth h and sample size n:
+    the deriv-th kernel derivative at offsets -L..L grid spacings, over
+    n h^(deriv + 1), with L = ceil(reach h / spacing).
+
+    Memoized per (kernel, h, n, deriv, spacing), read-only, and never handed
+    out of `kde_rows`, so the replications of an experiment, which share
+    their (h, n) rows, build each table once per process. `kde_rows` bins
+    only where L <= G, so an entry holds at most 2G + 1 doubles: 64 entries
+    at G = 4001 take about 4 MB. A default experiment needs 27 tables per n.
+    """
+    L = math.ceil(kernel.reach * h / spacing)
+    t = np.arange(-L, L + 1) * (spacing / h)
+    table = kernel.deriv(t, deriv) / (n * h ** (deriv + 1))
+    table.flags.writeable = False
+    return table
 
 
 def fit_subset_kde(sample: SubsetSample, h: float, kernel: Kernel) -> SubsetKde:

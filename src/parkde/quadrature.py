@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,6 +27,8 @@ class Grid:
     def __post_init__(self):
         if not (self.lo < self.hi):
             raise ValueError(f"grid needs lo < hi, got [{self.lo}, {self.hi}]")
+        if not isinstance(self.n_points, numbers.Integral):
+            raise ValueError(f"grid n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 2:
             raise ValueError(f"grid needs n_points >= 2, got {self.n_points}")
 

@@ -134,3 +134,25 @@ def test_several_workloads_run_in_turn_into_one_file(tmp_path, monkeypatch, caps
     for name in ("v", "w"):
         assert [p["seed"] for p in workloads[name]["pairs"]] == [11, 12]
         assert workloads[name]["summary"]["ops_per_s"]["after_better_pairs"] == 0
+
+
+def test_header_records_whether_runs_compile_from_source(tmp_path, monkeypatch):
+    bench = load_tool()
+    monkeypatch.setattr(bench, "run", lambda checkout, workload, seed, seconds: {
+        "setup_s": 1.0, "ops_per_s": 2.0, "peak_rss_mb": 3.0,
+        "correct": True, "attempted": 4, "failed": 0})
+    before, after = tmp_path / "before", tmp_path / "after"
+    (before / "src" / "parkde").mkdir(parents=True)
+    (after / "src" / "parkde" / "__pycache__").mkdir(parents=True)
+    out = tmp_path / "bench.json"
+    argv = ["--before", str(before), "--after", str(after), "--before-sha", "a",
+            "--after-sha", "b", "--workload", "w", "--seeds", "1", "2", "--out", str(out)]
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench.main(argv) == 0
+    # bytecode in the after checkout is read, so only the before side compiles
+    assert json.loads(out.read_text())["compiles_from_source"] == {
+        "before": True, "after": False}
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert bench.main(argv) == 0
+    assert json.loads(out.read_text())["compiles_from_source"] == {
+        "before": False, "after": False}

@@ -447,6 +447,17 @@ class TestExperimentAndReport:
         assert code == EXIT_CONFIG
         assert not (tmp_path / "o1").exists()
 
+    def test_fewer_than_five_sweep_values_is_config_error(self, tmp_path, capsys):
+        # the sweep's argmin needs 5 bandwidths; fail before the output directory
+        code = main([
+            "experiment", "--family", "normal", "-M", "2", "--n", "60",
+            "--replications", "3", "--outer-repeats", "1", "--sweep-count", "3",
+            "--seed", "1", "--output-dir", str(tmp_path / "o1"),
+        ])
+        assert code == EXIT_CONFIG
+        assert "sweep_count must be >= 5" in capsys.readouterr().err
+        assert not (tmp_path / "o1").exists()
+
     def test_empty_sample_size_list_is_config_error(self, tmp_path):
         # no sample size would leave CSVs holding only their headers
         cfg_path = tmp_path / "cfg.json"

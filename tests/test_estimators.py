@@ -9,6 +9,7 @@ from parkde.estimators import (
     AnalyticModel,
     DegenerateProduct,
     SubsetSample,
+    _kernel_table,
     fit_subset_kde,
     kde_rows,
     normalize,
@@ -17,6 +18,13 @@ from parkde.kernels import from_name
 from parkde.quadrature import Grid, integrate, integrate_values
 
 GAUSS = from_name("gaussian")
+
+
+@pytest.fixture(autouse=True)
+def cold_kernel_tables():
+    """Every test starts with the kernel-table cache empty, so counts taken
+    from it do not depend on which tests ran before."""
+    _kernel_table.cache_clear()
 
 # Bound on max |kde_rows - exact| / max |exact| by (kernel, derivative) and
 # h / spacing, for 4000 N(0, 1) draws plus draws beyond the grid, G in
@@ -133,6 +141,45 @@ class TestSubsetKde:
                 np.testing.assert_array_equal(row, want)
         with pytest.raises(ValueError, match="bandwidths must have shape"):
             kde_rows(samples, hs[:2], GAUSS, g)
+
+    def test_a_second_call_builds_no_kernel_table(self):
+        g = Grid(-4.0, 4.0, 401)
+        rng = np.random.default_rng(8)
+        hs = [[0.2, 0.4], [0.2, 0.4]]
+        draws = [SubsetSample(rng.normal(size=300)) for _ in range(4)]
+        kde_rows(draws[:2], hs, GAUSS, g, derivs=(0, 2))
+        # one table per (h, deriv) for the one sample size
+        assert _kernel_table.cache_info().misses == 4
+        kde_rows(draws[2:], hs, GAUSS, g, derivs=(0, 2))
+        assert _kernel_table.cache_info().misses == 4
+        kde_rows([SubsetSample(rng.normal(size=301))], [[0.2]], GAUSS, g)
+        assert _kernel_table.cache_info().misses == 5
+
+    def test_kernel_tables_are_read_only_and_never_handed_out(self):
+        g = Grid(-4.0, 4.0, 401)
+        sample = SubsetSample(np.random.default_rng(9).normal(size=300))
+        rows = kde_rows([sample], [[0.3]], GAUSS, g)
+        table = _kernel_table(GAUSS, 0.3, 300, 0, g.spacing)
+        assert not table.flags.writeable
+        assert rows.flags.writeable and not np.shares_memory(rows, table)
+        want = rows.copy()
+        rows[:] = -1.0
+        np.testing.assert_array_equal(kde_rows([sample], [[0.3]], GAUSS, g), want)
+
+    @pytest.mark.parametrize("lo, hi", [(-6.0, 6.0), (-0.5, 1.0)])
+    def test_warm_kernel_tables_give_the_cold_rows(self, lo, hi):
+        # (-0.5, 1.0) leaves draws outside the binned window
+        g = Grid(lo, hi, 301)
+        rng = np.random.default_rng(10)
+        samples = [SubsetSample(rng.normal(size=400)) for _ in range(3)]
+        hs = [[0.15, 0.3], [0.2, 0.3], [0.15, 0.4]]
+        for kernel, derivs in ((GAUSS, (0, 1, 2)), (from_name("epanechnikov"), (0,))):
+            _kernel_table.cache_clear()
+            cold = kde_rows(samples, hs, kernel, g, derivs)
+            built = _kernel_table.cache_info().misses
+            warm = kde_rows(samples, hs, kernel, g, derivs)
+            assert _kernel_table.cache_info().misses == built
+            np.testing.assert_array_equal(warm, cold)
 
     def test_on_grid_falls_back_to_the_exact_sum(self):
         values = np.random.default_rng(6).normal(0, 1, 500)

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from parkde.estimators import AnalyticModel, _product, kde_rows
+from parkde.estimators import AnalyticModel, _kernel_table, _product, kde_rows
 from parkde.harness import (
     DegenerateMajority,
     ExperimentConfig,
     _curve,
     _replication,
+    _truth_and_weights,
     closed_form_h,
     estimate_mise,
     run_experiment,
@@ -21,6 +22,14 @@ from parkde.kernels import from_name
 from parkde.quadrature import Grid, integrate_values, simpson_weights
 
 NORMAL4 = AnalyticModel.normal(0.0, 1.0, 4)
+
+
+@pytest.fixture(autouse=True)
+def cold_replication_caches():
+    """Every test starts with the kernel-table and truth caches empty, so
+    counts taken from them do not depend on which tests ran before."""
+    _kernel_table.cache_clear()
+    _truth_and_weights.cache_clear()
 
 
 class TestSampleModel:
@@ -86,6 +95,43 @@ class TestReplication:
             assert got[3] is None
             assert all(v is not None for v in got[:3])
             assert got == per_row_replication(job)
+
+    def test_builds_its_fixed_arrays_once_per_model_and_grid(self):
+        grid = Grid(-4, 4, 401)
+        h_rows = [(0.3,) * 4, (0.5,) * 4]
+        for rep in range(3):
+            _replication((NORMAL4, 50, h_rows, 7, 0, rep, grid))
+        truth = _truth_and_weights.cache_info()
+        assert (truth.misses, truth.hits) == (1, 2)
+        tables = _kernel_table.cache_info()
+        assert (tables.misses, tables.hits) == (2, 2 * 4 * 3 - 2)
+
+    def test_fixed_arrays_are_read_only(self):
+        grid = Grid(-4, 4, 401)
+        for array in _truth_and_weights(NORMAL4, grid):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        np.testing.assert_array_equal(_truth_and_weights(NORMAL4, grid)[0],
+                                      NORMAL4.posterior(grid.points))
+
+    @pytest.mark.parametrize("model,grid", [
+        (NORMAL4, Grid(-4, 4, 401)),
+        # a narrow window, so draws fall outside the binned window
+        (NORMAL4, Grid(-1, 1.5, 201)),
+        (AnalyticModel.gamma(3.0, 3.0, 4), Grid(*AnalyticModel.gamma(3.0, 3.0, 4).window(), 401)),
+    ])
+    def test_warm_caches_give_the_cold_result(self, model, grid):
+        dx = grid.spacing
+        h_rows = [(15 * dx,) * 4, (10 * dx, 20 * dx, 30 * dx, 40 * dx)]
+        jobs = [(model, 200, h_rows, 5, 0, rep, grid) for rep in range(3)]
+        warm = [_replication(job) for job in jobs]
+        assert warm == [_replication(job) for job in jobs]
+        for job, want in zip(jobs, warm):
+            _kernel_table.cache_clear()
+            _truth_and_weights.cache_clear()
+            got = _replication(job)
+            assert got == want
+            assert all(type(v) is np.float64 for v in got)
 
 
 class TestEstimateMise:

@@ -12,10 +12,13 @@ odd ones, so drift of the host's speed falls on both sides alike. The file
 is written after each workload, and running the script again with other
 workloads and the same --out adds them to it. The file holds
 both commits' shas (--before-sha/--after-sha), the Python and numpy
-versions, nproc, every pair's setup_s, ops_per_s and peak_rss_mb, and per
-metric the median and quartiles of each side, the number of pairs in
-which the after side was better and three verdicts, each against the
-metric's bound in BENCHMARK.json (a share of the before side's median):
+versions, nproc, per side whether its runs compile src/parkde from source
+(PYTHONDONTWRITEBYTECODE is set and the checkout holds no __pycache__, so
+every fresh process compiles it, which took 18-27 ms on a 2-vCPU VM),
+every pair's setup_s, ops_per_s and peak_rss_mb, and per metric the
+median and quartiles of each side, the number of pairs in which the after
+side was better and three verdicts, each against the metric's bound in
+BENCHMARK.json (a share of the before side's median):
 
 - gain_shown: the after side is better in at least 9 of 10 pairs
   (GAIN_SHARE of them) and its median is better than the before side's by
@@ -62,6 +65,13 @@ def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     out = {k: last["metrics"][k]["value"] for k in METRICS}
     out.update(correct=last["correct"], attempted=last["attempted"], failed=last["failed"])
     return out
+
+
+def compiles_from_source(checkout: str) -> bool:
+    """Whether each run compiles the checkout's parkde anew: no run writes
+    bytecode and there is none to read."""
+    cache = os.path.join(checkout, "src", "parkde", "__pycache__")
+    return bool(os.environ.get("PYTHONDONTWRITEBYTECODE")) and not os.path.isdir(cache)
 
 
 def spread(values: list[float]) -> dict:
@@ -116,6 +126,8 @@ def main(argv=None) -> int:
         parent_sha=args.before_sha, change_sha=args.after_sha,
         python=platform.python_version(), numpy=np.__version__, nproc=len(os.sched_getaffinity(0)),
         seconds_per_run=args.seconds,
+        compiles_from_source={"before": compiles_from_source(args.before),
+                              "after": compiles_from_source(args.after)},
     )
     bad = []
     for workload in args.workload:
