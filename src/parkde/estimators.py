@@ -113,10 +113,11 @@ def kde_rows(
     equals the row of a one-sample, one-bandwidth call bit for bit. A
     sample's in-window mask is built only when a draw lies outside the
     extended window. Values are sums of non-negative terms and exactly zero
-    farther than reach h from every draw. A row comes from the exact sum instead when linear binning is too
-    coarse (fewer than _MIN_BINS_PER_H grid spacings per bandwidth) or the
-    kernel reaches farther than the grid is long (L > G), where the bins and
-    the kernel table would outgrow the grid.
+    farther than reach h from every draw. A row comes from the exact sum
+    instead when linear binning is too coarse (fewer than _MIN_BINS_PER_H
+    grid spacings per bandwidth) or the kernel reaches farther than the grid
+    is long (L > G), where the bins and the kernel table would outgrow the
+    grid.
     """
     h_all = np.asarray(bandwidths, dtype=float)
     if h_all.ndim != 2 or h_all.shape[0] != len(samples):

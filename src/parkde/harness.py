@@ -168,10 +168,10 @@ def _replication(job) -> list[float | None]:
     numbers); one `kde_rows` call bins each subset's sample once for all
     rows, and one `_product` call forms every row's product. A degenerate
     product gives None in its row. What does not depend on the draws comes
-    from read-only caches kept for the process: the truth row and Simpson
-    weights from `_truth_and_weights` (8 entries per (model, grid), about
-    0.5 MB at G = 4001), the kernel tables from `kde_rows` (64 entries per
-    (kernel, h, n, deriv, spacing), about 4 MB).
+    from read-only LRU caches kept for the process: the truth row and
+    Simpson weights from `_truth_and_weights` (8 entries keyed by (model,
+    grid), about 0.5 MB at G = 4001), the kernel tables from `kde_rows` (64
+    entries keyed by (kernel, h, n, deriv, spacing), about 4 MB).
     """
     model, n, h_rows, seed, outer, rep, grid = job
     kernel = from_name("gaussian")

@@ -26,6 +26,7 @@ def cold_kernel_tables():
     from it do not depend on which tests ran before."""
     _kernel_table.cache_clear()
 
+
 # Bound on max |kde_rows - exact| / max |exact| by (kernel, derivative) and
 # h / spacing, for 4000 N(0, 1) draws plus draws beyond the grid, G in
 # {201, 401, 2001}. Over five seeds the largest errors were 1.4e-3, 2.3e-2

@@ -34,7 +34,6 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(0.0, 1.0, 1)
 
-
     @pytest.mark.parametrize("n_points", [201.5, 2001.0])
     def test_rejects_a_non_integer_point_count(self, n_points):
         # 2001.0 would equal and hash as Grid(0, 1, 2001), a cache key
@@ -44,6 +43,7 @@ class TestGrid:
     def test_numpy_integer_point_count(self):
         g = Grid(0.0, 1.0, np.int64(5))
         assert g == Grid(0.0, 1.0, 5) and g.points.size == 5
+
 
 def test_simpson_exact_on_cubics():
     # composite simpson integrates cubics exactly on odd point counts
