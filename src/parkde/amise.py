@@ -49,7 +49,7 @@ def _prod_except(P: np.ndarray) -> np.ndarray:
     Prefix times suffix products, so a zero row needs no division.
     """
     L = np.ones_like(P)
-    np.cumprod(P[:-1], axis=0, out=L[1:])
+    P[:-1].cumprod(axis=0, out=L[1:])
     suffix = np.ones_like(P[0])
     for m in range(len(P) - 2, -1, -1):
         suffix = suffix * P[m + 1]
@@ -126,7 +126,7 @@ class AmiseCoefficients:
             raise ValueError("coefficient shapes do not match M")
         if not (np.isfinite(beta).all() and np.isfinite(nu).all()):
             raise ValueError("coefficients must be finite")
-        if np.any(nu <= 0):
+        if (nu <= 0).any():
             raise ValueError("nu entries must be positive")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "nu", nu)
@@ -139,17 +139,18 @@ def _coefficients(source, N, grid: Grid) -> AmiseCoefficients:
     `_integrals` integrates over the distinct subset densities, each with a
     multiplicity k: a model's one subset density has k = M, and its
     integrals are memoized per (model, grid); each callable or KDE of a
-    sequence has k = 1 and is put on the grid on every call. beta and nu's
-    integrals are then repeated out to the M subsets, and nu is divided by N.
+    sequence has k = 1 and is put on the grid on every call. A model's beta
+    and nu integrals are then repeated out to the M subsets, and nu is
+    divided by N.
     """
     if isinstance(source, AnalyticModel):
         k = source.M
         dens, beta = _model_integrals(source, grid)
+        dens, beta = dens.repeat(k), beta.repeat(k, axis=0).repeat(k, axis=1)
     else:
-        k = 1
-        dens, beta = _integrals(source, k, grid)
-    nu = dens.repeat(k) / np.asarray(N, dtype=float)
-    return AmiseCoefficients(beta.repeat(k, axis=0).repeat(k, axis=1), nu, len(nu))
+        dens, beta = _integrals(source, 1, grid)
+    nu = dens / np.asarray(N, dtype=float)
+    return AmiseCoefficients(beta, nu, len(nu))
 
 
 def _integrals(source, k: int, grid: Grid):
@@ -181,7 +182,7 @@ def _integrals(source, k: int, grid: Grid):
     R = np.multiply(L, Pdd, out=L)
     R *= root_w
     I = R @ root_w
-    R -= np.outer(I, values * root_w)
+    R -= I[:, None] * (values * root_w)
     beta = (kernel.k2 / 2.0) ** 2 * (R @ R.T)
     if not (np.isfinite(dens).all() and np.isfinite(beta).all()):
         raise FloatingPointError("coefficient integrals overflowed: nu or beta")

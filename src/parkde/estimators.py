@@ -6,6 +6,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +22,10 @@ DEGENERATE_LAMBDA = 1e-300
 _BLOCK_PAIRS = 2**20
 # below this many grid spacings per bandwidth, grid values come from the exact sum
 _MIN_BINS_PER_H = 4
+# draws binned in one group: 64 KiB per temporary. Binning a group in one pass
+# saves numpy calls, which is what small samples cost; larger groups save
+# nothing and outgrow the cache and the allocator's reuse
+_GROUP_DRAWS = 2**13
 
 NORMAL_FAMILY = "normal"
 GAMMA_FAMILY = "gamma"
@@ -100,24 +105,27 @@ def kde_rows(
     bandwidths, shape (M, R, len(derivs), G): row [m, r] is sample m's KDE
     at bandwidth [m, r].
 
-    The one way a subset KDE is evaluated on a grid. Each sample is binned
-    linearly once, into its own row of one array over the grid extended by
-    the largest L = ceil(reach h / spacing) points on each side, and each
+    The one way a subset KDE is evaluated on a grid. The samples are binned
+    linearly (Wand 1994, JCGS 3:433) into the rows of one (M, W) array over
+    the grid extended by the largest L = ceil(reach h / spacing) points on
+    each side, W = G + 2L + 2, a group of consecutive samples at a time: one
+    pass over the group's draws and one pair of `np.bincount` calls into
+    its rows. A group holds at most _GROUP_DRAWS draws, or one larger
+    sample, so no temporary is much larger than the larger of the two. Each
     (sample, bandwidth) convolves the central G + 2L bins of its row with
-    the kernel at offsets -L..L (Wand 1994, JCGS 3:433); that kernel table
-    comes from `_kernel_table`, a read-only LRU cache of 64 entries keyed by
-    (kernel, h, n, deriv, spacing), at most about 4 MB at G = 4001, so a
-    process builds each table once while the cache holds it. Positions are
-    taken from grid.lo and every draw keeps the weight it puts into the
-    extended bins, so a bin's weight does not depend on L and each row
-    equals the row of a one-sample, one-bandwidth call bit for bit. A
-    sample's in-window mask is built only when a draw lies outside the
-    extended window. Values are sums of non-negative terms and exactly zero
-    farther than reach h from every draw. A row comes from the exact sum
-    instead when linear binning is too coarse (fewer than _MIN_BINS_PER_H
-    grid spacings per bandwidth) or the kernel reaches farther than the grid
-    is long (L > G), where the bins and the kernel table would outgrow the
-    grid.
+    the kernel table at offsets -L..L, one table per requested order from
+    `_kernel_table`, a read-only LRU cache. Positions are taken from
+    grid.lo, each bin sums its own sample's draws in the sample's order, and
+    every draw keeps the weight it puts into the extended bins, so a bin's
+    weight depends neither on L nor on the other samples, and each row
+    equals the row of a one-sample, one-bandwidth call bit for bit. The
+    draws outside the extended window are dropped, and the mask that drops
+    them is built only when there are any. Values are sums of non-negative
+    terms and exactly zero farther than reach h from every draw. A row
+    comes from the exact sum instead when linear binning is too coarse
+    (fewer than _MIN_BINS_PER_H grid spacings per bandwidth) or the kernel
+    reaches farther than the grid is long (L > G), where the bins and the
+    kernel table would outgrow the grid.
     """
     h_all = np.asarray(bandwidths, dtype=float)
     if h_all.ndim != 2 or h_all.shape[0] != len(samples):
@@ -125,55 +133,92 @@ def kde_rows(
             f"bandwidths must have shape ({len(samples)}, R), got {h_all.shape}"
         )
     dx, G = grid.spacing, grid.n_points
+    derivs = tuple(derivs)
     out = np.empty(h_all.shape + (len(derivs), G))
     binned = []
-    for (m, r), h in np.ndenumerate(h_all):
-        h = float(h)
-        reach = kernel.reach * h / dx  # in grid spacings
-        if h < _MIN_BINS_PER_H * dx or reach > G:
-            kde = SubsetKde(samples[m], h, kernel)
-            out[m, r] = [kde(grid.points, d) for d in derivs]
-        else:
-            binned.append((m, r, h, math.ceil(reach)))
+    for m, h_row in enumerate(h_all.tolist()):
+        for r, h in enumerate(h_row):
+            reach = kernel.reach * h / dx  # in grid spacings
+            if h < _MIN_BINS_PER_H * dx or reach > G:
+                kde = SubsetKde(samples[m], h, kernel)
+                out[m, r] = [kde(grid.points, d) for d in derivs]
+            else:
+                binned.append((m, r, h, math.ceil(reach)))
     if not binned:
         return out
     top = max(L for *_, L in binned)
-    bins = np.empty((len(samples), G + 2 * top + 2))
-    for row, sample in zip(bins, samples):
-        u = np.subtract(sample.values, grid.lo)
-        u /= dx
-        # draws that put weight into grid points -top..G-1+top
-        if u.min() < -1.0 - top or u.max() >= G + top:
-            u = u[(u >= -1.0 - top) & (u < G + top)]
-        j = np.floor(u)
-        u -= j  # each draw's share of its weight in the bin above
-        j = j.astype(np.intp)
-        j += top + 1  # grid point k is bin k + top + 1
-        row[:] = np.bincount(j, weights=1.0 - u, minlength=G + 2 * top + 2)
-        row[1:] += np.bincount(j, weights=u, minlength=G + 2 * top + 1)
+    bins = _bin(samples, grid, top)
     for m, r, h, L in binned:
-        n = samples[m].size
         central = bins[m, top + 1 - L : top + 1 + G + L]
-        for k, d in enumerate(derivs):
-            out[m, r, k] = np.convolve(central, _kernel_table(kernel, h, n, d, dx), mode="valid")
+        tables = _kernel_table(kernel, h, samples[m].size, derivs, dx)
+        for k, table in enumerate(tables):
+            # np.convolve(central, table, "valid") without its argument checks
+            out[m, r, k] = np.correlate(central, table[::-1], "valid")
     return out
 
 
-@lru_cache(maxsize=64)
-def _kernel_table(kernel: Kernel, h: float, n: int, deriv: int, spacing: float) -> np.ndarray:
-    """`kde_rows`' convolution weights for one bandwidth h and sample size n:
-    the deriv-th kernel derivative at offsets -L..L grid spacings, over
-    n h^(deriv + 1), with L = ceil(reach h / spacing).
+def _bin(samples: Sequence[SubsetSample], grid: Grid, top: int) -> np.ndarray:
+    """Linear-binning weights of each sample on grid points -top..G-1+top,
+    shape (M, G + 2 top + 2): grid point k is bin k + top + 1, and bin 0 and
+    the last bin hold the shares of draws just outside those points.
 
-    Memoized per (kernel, h, n, deriv, spacing), read-only, and never handed
+    Bins consecutive samples as one group of at most _GROUP_DRAWS draws (or
+    one larger sample): the group's draws are concatenated, each index is
+    shifted by its sample's row into one flat array, and one pair of
+    `np.bincount` calls bins the group.
+    """
+    G, W = grid.n_points, grid.n_points + 2 * top + 2
+    bins = np.empty((len(samples), W))
+    a = 0
+    while a < len(samples):
+        b, count = a + 1, samples[a].size
+        while b < len(samples) and count + samples[b].size <= _GROUP_DRAWS:
+            count += samples[b].size
+            b += 1
+        values = [s.values for s in samples[a:b]]
+        ends = list(accumulate(v.size for v in values))
+        u = np.subtract(values[0] if b - a == 1 else np.concatenate(values), grid.lo)
+        u /= grid.spacing
+        j = np.floor(u)
+        # draws that put weight into grid points -top..G-1+top
+        if j.min() < -1 - top or j.max() >= G + top:
+            keep = (j >= -1 - top) & (j < G + top)
+            u, j = u[keep], j[keep]
+            ends = np.cumsum(keep)[np.subtract(ends, 1)].tolist()
+        u -= j  # each draw's share of its weight in the bin above
+        j = j.astype(np.intp)
+        # grid point k of the group's row r is flat bin r W + k + top + 1
+        for r, (i0, i1) in enumerate(zip([0, *ends], ends)):
+            j[i0:i1] += r * W + top + 1
+        flat = bins[a:b].reshape(-1)
+        flat[:] = np.bincount(j, weights=1.0 - u, minlength=flat.size)
+        flat[1:] += np.bincount(j, weights=u, minlength=flat.size - 1)
+        a = b
+    return bins
+
+
+@lru_cache(maxsize=64)
+def _kernel_table(
+    kernel: Kernel, h: float, n: int, derivs: tuple[int, ...], spacing: float
+) -> np.ndarray:
+    """`kde_rows`' convolution weights for one bandwidth h and sample size n,
+    shape (len(derivs), 2L + 1): row k is the derivs[k]-th kernel derivative
+    at offsets -L..L grid spacings, over n h^(derivs[k] + 1), with
+    L = ceil(reach h / spacing). Every row comes from one evaluation of the
+    kernel (`Kernel.derivs`), so the Gaussian's K, K' and K'' share one exp.
+
+    Memoized per (kernel, h, n, derivs, spacing), read-only, and never handed
     out of `kde_rows`, so the replications of an experiment, which share
     their (h, n) rows, build each table once per process. `kde_rows` bins
-    only where L <= G, so an entry holds at most 2G + 1 doubles: 64 entries
-    at G = 4001 take about 4 MB. A default experiment needs 27 tables per n.
+    only where L <= G, so an entry holds at most len(derivs) (2G + 1)
+    doubles: 64 single-order entries at G = 4001 take about 4 MB. A default
+    experiment needs 27 entries per n.
     """
     L = math.ceil(kernel.reach * h / spacing)
     t = np.arange(-L, L + 1) * (spacing / h)
-    table = kernel.deriv(t, deriv) / (n * h ** (deriv + 1))
+    table = np.empty((len(derivs), t.size))
+    for row, d, values in zip(table, derivs, kernel.derivs(t, derivs)):
+        np.divide(values, n * h ** (d + 1), out=row)
     table.flags.writeable = False
     return table
 
@@ -196,7 +241,7 @@ def _product(
     and its mass integrated and checked. Each mass is its own 1-D dot
     product, so a product's bits do not depend on R.
     """
-    vals = np.prod(rows, axis=0)
+    vals = np.multiply.reduce(rows, axis=0)  # np.prod without its wrapper
     lams = np.empty(len(vals))
     failed = []
     for r, v in enumerate(vals):
@@ -207,7 +252,7 @@ def _product(
             ))
         elif lam <= DEGENERATE_LAMBDA:
             failed.append(DegenerateProduct(
-                f"product mass {lam!r} underflowed; subset supports nearly disjoint"
+                f"product mass {float(lam)!r} underflowed; subset supports nearly disjoint"
             ))
         else:
             v /= lam

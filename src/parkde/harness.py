@@ -146,37 +146,38 @@ def sample_model(
 
 
 @lru_cache(maxsize=8)
-def _truth_and_weights(model: AnalyticModel, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The model's posterior at grid.points and the grid's Simpson weights.
+def _truth(model: AnalyticModel, grid: Grid) -> np.ndarray:
+    """The model's posterior at grid.points.
 
     Memoized per (model, grid), read-only, and never handed out of
     `_replication`, so the replications of an experiment, which share one
-    model and grid, build them once per process. An entry holds 2G doubles:
-    8 entries at G = 4001 take about 0.5 MB. Exceptions are not cached.
+    model and grid, build it once per process. An entry holds G doubles:
+    8 entries at G = 4001 take about 0.25 MB. Exceptions are not cached.
     """
     truth = np.asarray(model.posterior(grid.points), dtype=float)
-    weights = simpson_weights(grid.n_points, grid.spacing)
     truth.flags.writeable = False
-    weights.flags.writeable = False
-    return truth, weights
+    return truth
 
 
 def _replication(job) -> list[float | None]:
     """ISE of the normalized product for each bandwidth row on one replication.
 
     The samples are drawn once and reused for every row (common random
-    numbers); one `kde_rows` call bins each subset's sample once for all
-    rows, and one `_product` call forms every row's product. A degenerate
-    product gives None in its row. What does not depend on the draws comes
-    from read-only LRU caches kept for the process: the truth row and
-    Simpson weights from `_truth_and_weights` (8 entries keyed by (model,
-    grid), about 0.5 MB at G = 4001), the kernel tables from `kde_rows` (64
-    entries keyed by (kernel, h, n, deriv, spacing), about 4 MB).
+    numbers); one `kde_rows` call bins the replication's samples once for
+    all rows, a group of samples per pass, and one `_product` call forms
+    every row's product.
+    A degenerate product gives None in its row. What does not depend on the
+    draws comes from read-only LRU caches kept for the process: the truth
+    row from `_truth` (8 entries keyed by (model, grid), about 0.25 MB at
+    G = 4001), the Simpson weights from `simpson_weights` (16 entries keyed
+    by (n, spacing)) and the kernel tables from `kde_rows` (64 entries keyed
+    by (kernel, h, n, derivs, spacing), about 4 MB).
     """
     model, n, h_rows, seed, outer, rep, grid = job
     kernel = from_name("gaussian")
     samples = sample_model(model, n, seed, outer, rep)
-    truth, weights = _truth_and_weights(model, grid)
+    truth = _truth(model, grid)
+    weights = simpson_weights(grid.n_points, grid.spacing)
     # (M, R, G): per subset, its KDE row at each h row's bandwidth
     rows = kde_rows(samples, np.transpose(h_rows), kernel, grid)[:, :, 0]
     _, values, failed = _product(rows, weights)

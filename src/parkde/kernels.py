@@ -59,18 +59,23 @@ class Kernel:
 
     def deriv(self, t, order: int):
         """d^order/dt^order K(t); only the Gaussian kernel supports order > 0."""
-        if order == 0:
-            return self(t)
-        if not self.smooth:
-            raise ValueError(
-                f"kernel family {self.family!r} has no analytic derivatives"
-            )
-        if order not in (1, 2):
-            raise ValueError(f"derivative order must be in 0..2, got {order}")
+        (out,) = self.derivs(t, (order,))
+        return out if np.ndim(out) else float(out)
+
+    def derivs(self, t, orders):
+        """[d^k/dt^k K(t) for k in orders] from one evaluation of K, so the
+        Gaussian's K, K' = -t K and K'' = (t^2 - 1) K share one exp; only
+        the Gaussian kernel supports k > 0."""
+        for order in orders:
+            if order != 0 and not self.smooth:
+                raise ValueError(
+                    f"kernel family {self.family!r} has no analytic derivatives"
+                )
+            if order not in (0, 1, 2):
+                raise ValueError(f"derivative order must be in 0..2, got {order}")
         t = np.asarray(t, dtype=float)
-        phi = np.exp(-0.5 * t * t) / _SQRT_2PI
-        out = -t * phi if order == 1 else (t * t - 1.0) * phi
-        return out if out.ndim else float(out)
+        K = self(t)
+        return [K if k == 0 else -t * K if k == 1 else (t * t - 1.0) * K for k in orders]
 
     def moment(self, s: int) -> float:
         """Absolute moment k_s for s in {0, 1, 2, 3}."""

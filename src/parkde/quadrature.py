@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,10 +53,14 @@ class Grid:
         return np.linspace(self.lo, self.hi, self.n_points)
 
 
+@lru_cache(maxsize=16)
 def simpson_weights(n: int, spacing: float) -> np.ndarray:
     """Composite Simpson weights for n equally spaced samples.
 
     A trapezoid takes the final panel when the sample count is even.
+    Memoized per (n, spacing) and read-only, so every integral on one grid
+    (a product's mass, the coefficient integrals, an ISE) shares one array:
+    16 entries at n = 6001 take about 0.8 MB. Exceptions are not cached.
     """
     if n < 2:
         raise ValueError("need at least two samples")
@@ -67,6 +72,7 @@ def simpson_weights(n: int, spacing: float) -> np.ndarray:
     w *= spacing / 3.0
     if core < n:
         w[-2:] += 0.5 * spacing
+    w.flags.writeable = False
     return w
 
 

@@ -156,3 +156,44 @@ def test_header_records_whether_runs_compile_from_source(tmp_path, monkeypatch):
     assert bench.main(argv) == 0
     assert json.loads(out.read_text())["compiles_from_source"] == {
         "before": False, "after": False}
+
+
+def recorded(ratios: dict) -> dict:
+    """A BENCH file's workloads, with the given ops_per_s median ratio per
+    workload, 10 pairs each, and the after side winning 7 of them."""
+    summary = {name: {"median_ratio": 1.0, "after_better_pairs": 5}
+               for name in ("setup_s", "ops_per_s", "peak_rss_mb")}
+    return {"workloads": {
+        w: {"pairs": [{}] * 10,
+            "summary": {**summary, "ops_per_s": {"median_ratio": r, "after_better_pairs": 7}}}
+        for w, r in ratios.items()}}
+
+
+def test_read_chains_each_files_ratios_without_running(tmp_path, monkeypatch, capsys):
+    bench = load_tool()
+    monkeypatch.setattr(bench, "run", None)  # any run would raise
+    first, second = tmp_path / "BENCH_11.json", tmp_path / "BENCH_12.json"
+    first.write_text(json.dumps(recorded({"w": 1.5, "v": 2.0})))
+    # the second file does not record v
+    second.write_text(json.dumps(recorded({"w": 1.1})))
+    assert bench.main(["--read", str(first), str(second)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("w ops_per_s (higher is better), after / before:")
+    assert lines[start + 1:start + 3] == [
+        "  BENCH_11.json  median ratio 1.5000  won 7/10  product 1.5000",
+        "  BENCH_12.json  median ratio 1.1000  won 7/10  product 1.6500",
+    ]
+    start = lines.index("v ops_per_s (higher is better), after / before:")
+    assert lines[start + 1:start + 3] == [
+        "  BENCH_11.json  median ratio 2.0000  won 7/10  product 2.0000",
+        "v peak_rss_mb (lower is better), after / before:",
+    ]
+    # a header per workload and metric, and a line per file that records it
+    assert len(lines) == 2 * 3 + 3 * (2 + 1)
+
+
+def test_a_run_needs_its_arguments_without_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_tool().main(["--before", "b", "--seeds", "1", "2"])
+    assert exc.value.code == 2
+    assert "--after, --before-sha, --after-sha, --workload, --out" in capsys.readouterr().err

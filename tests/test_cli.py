@@ -138,6 +138,23 @@ class TestFit:
         assert "overflowed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_underflowing_product_prints_a_plain_mass(self, tmp_path, capsys):
+        # two shards 100 standard deviations apart: at h = 1 the product has
+        # no mass
+        rng = np.random.default_rng(12)
+        d = tmp_path / "apart"
+        d.mkdir()
+        for m, mu in enumerate((-50.0, 50.0)):
+            values = rng.normal(mu, 1.0, 200)
+            (d / f"subset_{m}.txt").write_text("\n".join(repr(float(v)) for v in values))
+        out = tmp_path / "o.csv"
+        code = main(["fit", "--subsets", str(d), "--bandwidth", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert "product mass 0.0 underflowed" in err
+        assert "np.float64" not in err
+        assert not out.exists()
+
 
 class TestOptimize:
     def test_trace_output(self, subset_dir, tmp_path, capsys):

@@ -149,18 +149,18 @@ class TestSubsetKde:
         hs = [[0.2, 0.4], [0.2, 0.4]]
         draws = [SubsetSample(rng.normal(size=300)) for _ in range(4)]
         kde_rows(draws[:2], hs, GAUSS, g, derivs=(0, 2))
-        # one table per (h, deriv) for the one sample size
-        assert _kernel_table.cache_info().misses == 4
+        # one entry per h for the one sample size, holding both orders
+        assert _kernel_table.cache_info().misses == 2
         kde_rows(draws[2:], hs, GAUSS, g, derivs=(0, 2))
-        assert _kernel_table.cache_info().misses == 4
+        assert _kernel_table.cache_info().misses == 2
         kde_rows([SubsetSample(rng.normal(size=301))], [[0.2]], GAUSS, g)
-        assert _kernel_table.cache_info().misses == 5
+        assert _kernel_table.cache_info().misses == 3
 
     def test_kernel_tables_are_read_only_and_never_handed_out(self):
         g = Grid(-4.0, 4.0, 401)
         sample = SubsetSample(np.random.default_rng(9).normal(size=300))
         rows = kde_rows([sample], [[0.3]], GAUSS, g)
-        table = _kernel_table(GAUSS, 0.3, 300, 0, g.spacing)
+        table = _kernel_table(GAUSS, 0.3, 300, (0,), g.spacing)
         assert not table.flags.writeable
         assert rows.flags.writeable and not np.shares_memory(rows, table)
         want = rows.copy()
@@ -181,6 +181,16 @@ class TestSubsetKde:
             warm = kde_rows(samples, hs, kernel, g, derivs)
             assert _kernel_table.cache_info().misses == built
             np.testing.assert_array_equal(warm, cold)
+
+    def test_kernel_table_orders_share_one_kernel_evaluation(self):
+        # K, K' and K'' from one exp equal the one-order tables bit for bit
+        g = Grid(-4.0, 4.0, 401)
+        both = _kernel_table(GAUSS, 0.3, 300, (0, 1, 2), g.spacing)
+        for k, d in enumerate((0, 1, 2)):
+            np.testing.assert_array_equal(both[k], _kernel_table(GAUSS, 0.3, 300, (d,), g.spacing)[0])
+            L = math.ceil(GAUSS.reach * 0.3 / g.spacing)
+            t = np.arange(-L, L + 1) * (g.spacing / 0.3)
+            np.testing.assert_array_equal(both[k], GAUSS.deriv(t, d) / (300 * 0.3 ** (d + 1)))
 
     def test_on_grid_falls_back_to_the_exact_sum(self):
         values = np.random.default_rng(6).normal(0, 1, 500)
@@ -236,6 +246,84 @@ class TestSubsetKde:
         with pytest.raises(ValueError):
             kde_of([0.0], math.inf)
 
+
+
+def per_sample_rows(samples, bandwidths, kernel, grid, derivs):
+    """Binned `kde_rows` the long way: each (sample, bandwidth) binned on
+    its own over the grid extended by its own L points, and each order's
+    table built by `Kernel.deriv`. Every bandwidth must be binned."""
+    dx, G = grid.spacing, grid.n_points
+    out = np.empty((len(samples), len(bandwidths[0]), len(derivs), G))
+    for m, (sample, h_row) in enumerate(zip(samples, bandwidths)):
+        n = sample.size
+        for r, h in enumerate(h_row):
+            L = math.ceil(kernel.reach * h / dx)
+            assert h >= 4 * dx and L <= G
+            u = (sample.values - grid.lo) / dx
+            u = u[(u >= -1.0 - L) & (u < G + L)]
+            j = np.floor(u)
+            u = u - j
+            j = j.astype(np.intp) + L + 1
+            bins = np.bincount(j, weights=1.0 - u, minlength=G + 2 * L + 2)
+            bins[1:] += np.bincount(j, weights=u, minlength=G + 2 * L + 1)
+            t = np.arange(-L, L + 1) * (dx / h)
+            for k, d in enumerate(derivs):
+                table = kernel.deriv(t, d) / (n * h ** (d + 1))
+                out[m, r, k] = np.convolve(bins[1:-1], table, mode="valid")
+    return out
+
+
+class TestGroupedBinning:
+    """`kde_rows` bins a group of samples in one pass and still gives each
+    sample's rows bit for bit."""
+
+    GRID = Grid(-1.0, 1.5, 201)
+
+    def samples(self, sizes, seed=20):
+        """The first sample has a draw outside every bandwidth's extended
+        window, and the others lie inside the grid."""
+        rng = np.random.default_rng(seed)
+        wide = rng.normal(0.0, 3.0, sizes[0])
+        wide[0] = 40.0
+        return [SubsetSample(wide)] + [
+            SubsetSample(rng.uniform(-1.0, 1.5, n)) for n in sizes[1:]
+        ]
+
+    @pytest.mark.parametrize("sizes", [(4000, 1, 7, 250), (7, 250, 4000, 1), (250,), (4000,)])
+    @pytest.mark.parametrize("kernel,derivs", [(GAUSS, (0, 1, 2)), (GAUSS, (2, 0)),
+                                               (from_name("epanechnikov"), (0,))])
+    def test_groups_equal_per_sample_binning(self, sizes, kernel, derivs):
+        samples = self.samples(sizes)
+        dx = self.GRID.spacing
+        hs = [[4 * dx, 0.1 + 0.02 * m, 0.3] for m in range(len(samples))]
+        np.testing.assert_array_equal(kde_rows(samples, hs, kernel, self.GRID, derivs),
+                                      per_sample_rows(samples, hs, kernel, self.GRID, derivs))
+
+    def test_a_small_group_limit_splits_the_samples(self, monkeypatch):
+        import parkde.estimators as estimators
+
+        sizes = (4000, 1, 7, 250, 300, 300, 300, 7)
+        samples = self.samples(sizes)
+        hs = [[0.1 + 0.01 * m, 0.25] for m in range(len(samples))]
+        want = per_sample_rows(samples, hs, GAUSS, self.GRID, (0, 2))
+        calls = []
+        bincount = np.bincount
+
+        def counting_bincount(x, *args, **kwargs):
+            calls.append(len(x))
+            return bincount(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting_bincount)
+        np.testing.assert_array_equal(kde_rows(samples, hs, GAUSS, self.GRID, (0, 2)), want)
+        assert len(calls) == 2
+        monkeypatch.setattr(estimators, "_GROUP_DRAWS", 600)
+        calls.clear()
+        np.testing.assert_array_equal(kde_rows(samples, hs, GAUSS, self.GRID, (0, 2)), want)
+        # groups (4000), (1, 7, 250, 300), (300, 300) and (7); the wide first
+        # sample's draws outside the window are dropped before binning
+        assert max(calls) <= 600 + max(sizes)
+        assert calls[0] == calls[1] < 4000
+        assert calls[2:] == [558, 558, 600, 600, 7, 7]
 
 class TestProduct:
     def test_product_is_componentwise_product(self):

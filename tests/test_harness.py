@@ -11,7 +11,7 @@ from parkde.harness import (
     ExperimentConfig,
     _curve,
     _replication,
-    _truth_and_weights,
+    _truth,
     closed_form_h,
     estimate_mise,
     run_experiment,
@@ -26,10 +26,12 @@ NORMAL4 = AnalyticModel.normal(0.0, 1.0, 4)
 
 @pytest.fixture(autouse=True)
 def cold_replication_caches():
-    """Every test starts with the kernel-table and truth caches empty, so
-    counts taken from them do not depend on which tests ran before."""
+    """Every test starts with the kernel-table, truth and Simpson-weight
+    caches empty, so counts taken from them do not depend on which tests ran
+    before."""
     _kernel_table.cache_clear()
-    _truth_and_weights.cache_clear()
+    _truth.cache_clear()
+    simpson_weights.cache_clear()
 
 
 class TestSampleModel:
@@ -101,18 +103,19 @@ class TestReplication:
         h_rows = [(0.3,) * 4, (0.5,) * 4]
         for rep in range(3):
             _replication((NORMAL4, 50, h_rows, 7, 0, rep, grid))
-        truth = _truth_and_weights.cache_info()
+        truth = _truth.cache_info()
         assert (truth.misses, truth.hits) == (1, 2)
+        weights = simpson_weights.cache_info()
+        assert (weights.misses, weights.hits) == (1, 2)
         tables = _kernel_table.cache_info()
         assert (tables.misses, tables.hits) == (2, 2 * 4 * 3 - 2)
 
     def test_fixed_arrays_are_read_only(self):
         grid = Grid(-4, 4, 401)
-        for array in _truth_and_weights(NORMAL4, grid):
+        for array in (_truth(NORMAL4, grid), simpson_weights(grid.n_points, grid.spacing)):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
-        np.testing.assert_array_equal(_truth_and_weights(NORMAL4, grid)[0],
-                                      NORMAL4.posterior(grid.points))
+        np.testing.assert_array_equal(_truth(NORMAL4, grid), NORMAL4.posterior(grid.points))
 
     @pytest.mark.parametrize("model,grid", [
         (NORMAL4, Grid(-4, 4, 401)),
@@ -128,7 +131,8 @@ class TestReplication:
         assert warm == [_replication(job) for job in jobs]
         for job, want in zip(jobs, warm):
             _kernel_table.cache_clear()
-            _truth_and_weights.cache_clear()
+            _truth.cache_clear()
+            simpson_weights.cache_clear()
             got = _replication(job)
             assert got == want
             assert all(type(v) is np.float64 for v in got)

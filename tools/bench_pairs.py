@@ -31,6 +31,14 @@ BENCHMARK.json (a share of the before side's median):
 
 --seeds takes at least two seeds, since the quartiles need two runs a side.
 
+    python3 tools/bench_pairs.py --read BENCH_*.json
+
+reads recorded files and runs nothing. Only ratios within one file can be
+compared, so it prints, per workload and end-to-end metric, each file's
+median per-pair ratio (after / before), the pairs the after side won and
+the running product of the ratios, file by file in the order given. A file
+that does not record the workload is skipped for it.
+
 The script exits 1, naming the workload, seed and side, when a run reports
 `correct: false` or failed operations; every workload still runs and the
 file is written first, so those runs are kept.
@@ -104,17 +112,48 @@ def summarize(pairs: list[dict]) -> dict:
     return out
 
 
+def trajectory(paths: list[str]) -> list[str]:
+    """The lines `--read` prints for the files at paths."""
+    files = []
+    for path in paths:
+        with open(path) as fh:
+            files.append((os.path.basename(path), json.load(fh).get("workloads", {})))
+    lines = []
+    for workload in dict.fromkeys(w for _, recorded in files for w in recorded):
+        for name, metric in METRICS.items():
+            lines.append(f"{workload} {name} ({metric['better']} is better), after / before:")
+            product = 1.0
+            for label, recorded in files:
+                if workload not in recorded:
+                    continue
+                pairs, summary = recorded[workload]["pairs"], recorded[workload]["summary"][name]
+                product *= summary["median_ratio"]
+                lines.append(f"  {label}  median ratio {summary['median_ratio']:.4f}"
+                             f"  won {summary['after_better_pairs']}/{len(pairs)}"
+                             f"  product {product:.4f}")
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--before", required=True)
-    p.add_argument("--after", required=True)
-    p.add_argument("--before-sha", required=True)
-    p.add_argument("--after-sha", required=True)
-    p.add_argument("--workload", nargs="+", required=True)
-    p.add_argument("--seeds", type=int, nargs="+", required=True)
+    p.add_argument("--read", nargs="+", metavar="BENCH_JSON")
+    p.add_argument("--before")
+    p.add_argument("--after")
+    p.add_argument("--before-sha")
+    p.add_argument("--after-sha")
+    p.add_argument("--workload", nargs="+")
+    p.add_argument("--seeds", type=int, nargs="+")
     p.add_argument("--seconds", type=float, default=20.0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out")
     args = p.parse_args(argv)
+    if args.read:
+        print("\n".join(trajectory(args.read)))
+        return 0
+    missing = [f"--{name.replace('_', '-')}" for name in
+               ("before", "after", "before_sha", "after_sha", "workload", "seeds", "out")
+               if getattr(args, name) is None]
+    if missing:
+        p.error(f"without --read, these are required: {', '.join(missing)}")
     if len(args.seeds) < 2:
         p.error("--seeds needs at least two seeds for the quartiles of each side")
 
