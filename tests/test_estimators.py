@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from parkde import estimators
 from parkde.bandwidth import GammaDomain
 from parkde.estimators import (
     AnalyticModel,
@@ -186,10 +187,10 @@ class TestSubsetKde:
         # K, K' and K'' from one exp equal the one-order tables bit for bit
         g = Grid(-4.0, 4.0, 401)
         both = _kernel_table(GAUSS, 0.3, 300, (0, 1, 2), g.spacing)
+        L = math.ceil(GAUSS.reach * 0.3 / g.spacing)
+        t = np.arange(-L, L + 1) * (g.spacing / 0.3)
         for k, d in enumerate((0, 1, 2)):
             np.testing.assert_array_equal(both[k], _kernel_table(GAUSS, 0.3, 300, (d,), g.spacing)[0])
-            L = math.ceil(GAUSS.reach * 0.3 / g.spacing)
-            t = np.arange(-L, L + 1) * (g.spacing / 0.3)
             np.testing.assert_array_equal(both[k], GAUSS.deriv(t, d) / (300 * 0.3 ** (d + 1)))
 
     def test_on_grid_falls_back_to_the_exact_sum(self):
@@ -247,7 +248,6 @@ class TestSubsetKde:
             kde_of([0.0], math.inf)
 
 
-
 def per_sample_rows(samples, bandwidths, kernel, grid, derivs):
     """Binned `kde_rows` the long way: each (sample, bandwidth) binned on
     its own over the grid extended by its own L points, and each order's
@@ -300,8 +300,6 @@ class TestGroupedBinning:
                                       per_sample_rows(samples, hs, kernel, self.GRID, derivs))
 
     def test_a_small_group_limit_splits_the_samples(self, monkeypatch):
-        import parkde.estimators as estimators
-
         sizes = (4000, 1, 7, 250, 300, 300, 300, 7)
         samples = self.samples(sizes)
         hs = [[0.1 + 0.01 * m, 0.25] for m in range(len(samples))]
@@ -324,6 +322,7 @@ class TestGroupedBinning:
         assert max(calls) <= 600 + max(sizes)
         assert calls[0] == calls[1] < 4000
         assert calls[2:] == [558, 558, 600, 600, 7, 7]
+
 
 class TestProduct:
     def test_product_is_componentwise_product(self):
