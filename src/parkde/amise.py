@@ -32,7 +32,7 @@ not memoized: they are put on the grid on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -68,11 +68,15 @@ def _leading(P: np.ndarray, Pdd: np.ndarray, N, h):
     return bias, kernel.roughness * (weights @ (P * L * L))
 
 
+def _densities(source):
+    """source's subset densities: a model's one density M times, else source."""
+    return [source.subset] * source.M if isinstance(source, AnalyticModel) else source
+
+
 def _leading_at(densities, N, h, x):
-    if isinstance(densities, AnalyticModel):
-        densities = [densities.subset] * densities.M
     x = np.asarray(x, dtype=float)
-    P, Pdd = (np.stack([np.asarray(f(x, d), dtype=float) for f in densities]) for d in (0, 2))
+    P, Pdd = (np.stack([np.asarray(f(x, d), dtype=float) for f in _densities(densities)])
+              for d in (0, 2))
     bias, variance = _leading(P, Pdd, N, h)
     return (float(bias), float(variance)) if bias.ndim == 0 else (bias, variance)
 
@@ -89,7 +93,7 @@ def variance_leading(densities, N: Sequence[int], h: Sequence[float], x):
 
 def amise_product(source, N: Sequence[int], h: Sequence[float], grid: Grid) -> float:
     """Leading-order mean integrated squared error of the raw product."""
-    P, Pdd = grid_rows(source, grid, (0, 2))
+    P, Pdd = grid_rows(_densities(source), grid, (0, 2))
     b, v = _leading(P, Pdd, N, h)
     return integrate_values(b * b, grid.spacing) + integrate_values(v, grid.spacing)
 
@@ -197,7 +201,7 @@ def _model_integrals(model: AnalyticModel, grid: Grid):
     one nu integral, a few hundred bytes at any M and G, so 64 of them cost
     a few kB. Exceptions are not cached.
     """
-    dens, beta = _integrals(replace(model, M=1), model.M, grid)
+    dens, beta = _integrals([model.subset], model.M, grid)
     dens.flags.writeable = False
     beta.flags.writeable = False
     return dens, beta

@@ -95,6 +95,8 @@ def _config_from_args(args) -> ExperimentConfig:
         cfg.__post_init__()
     except ValueError as exc:
         raise CliError(str(exc), EXIT_CONFIG)
+    if cfg.seed is None:
+        raise CliError("a seed is required: give --seed or the config's seed", EXIT_CONFIG)
     return cfg
 
 
@@ -147,14 +149,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("mise-sweep", help="Monte Carlo MISE curve over a bandwidth range")
     _add_config_flags(p_sweep)
-    p_sweep.add_argument("--seed", type=int, required=True)
+    p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--out", default="sweep.csv")
 
     p_exp = sub.add_parser("experiment", help="full experiment: MISE vs n and ratio tables")
     _add_config_flags(p_exp)
     p_exp.add_argument("--outer-repeats", dest="outer_repeats", type=int)
     p_exp.add_argument("--output-dir", dest="output_dir")
-    p_exp.add_argument("--seed", type=int, required=True)
+    p_exp.add_argument("--seed", type=int)
 
     p_rep = sub.add_parser("report", help="summarize experiment CSVs")
     p_rep.add_argument("--output-dir", dest="output_dir", default="out")
@@ -229,7 +231,6 @@ def _cmd_mise_sweep(args) -> int:
     for key in ("outer_repeats", "output_dir"):
         if getattr(cfg, key) != getattr(ExperimentConfig, key):
             raise CliError(f"mise-sweep does not use config key {key!r}", EXIT_CONFIG)
-    cfg.seed = args.seed
     model = cfg.model()
     grid = cfg.grid()
     if len(cfg.n_per_subset) != 1:
@@ -256,7 +257,6 @@ def _cmd_mise_sweep(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = _config_from_args(args)
-    cfg.seed = args.seed
     paths = run_experiment(cfg)
     for name, path in paths.items():
         print(f"{name}: {path}")

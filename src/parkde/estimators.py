@@ -74,13 +74,6 @@ class SubsetKde:
         Sums over the sample in blocks of at most _BLOCK_PAIRS (x, draw)
         pairs, so memory stays bounded for any sample size.
         """
-        if deriv not in (0, 1, 2):
-            raise ValueError(f"deriv must be in 0..2, got {deriv}")
-        if deriv > 0 and not self.kernel.smooth:
-            raise ValueError(
-                "KDE derivatives need a smooth (gaussian) kernel, "
-                f"got {self.kernel.family!r}"
-            )
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         h = self.bandwidth
@@ -89,7 +82,7 @@ class SubsetKde:
         vals = np.zeros(xs.shape[0])
         for lo in range(0, self.sample.size, step):
             t = (xs - self.sample.values[lo : lo + step]) / h
-            vals += self.kernel.deriv(t, deriv).sum(axis=1)
+            vals += self.kernel.derivs(t, (deriv,))[0].sum(axis=1)
         vals /= self.sample.size * h ** (deriv + 1)
         return float(vals[0]) if scalar else vals
 
@@ -266,8 +259,7 @@ class ProductPosterior:
 
     values holds the normalized density at grid.points, from the components'
     grid rows, so callers that want the grid do not evaluate the components
-    a second time; posterior(x) multiplies the components' exact sums at
-    any x.
+    a second time.
     """
 
     components: tuple[SubsetKde, ...]
@@ -275,31 +267,16 @@ class ProductPosterior:
     lambda_hat: float
     values: np.ndarray
 
-    @property
-    def c_hat(self) -> float:
-        return 1.0 / self.lambda_hat
-
-    def posterior(self, x):
-        x = np.asarray(x, dtype=float)
-        vals = self.c_hat * np.prod([c(x.reshape(-1)) for c in self.components], axis=0)
-        return float(vals[0]) if x.ndim == 0 else vals
-
 
 def grid_rows(source, grid: Grid, derivs: Sequence[int] = (0,)) -> np.ndarray:
     """Derivatives of the given orders of source's M subset densities at
     grid.points, shape (len(derivs), M, G); the one way a density source is
     put on a grid.
 
-    A model's one subset density is evaluated once and its rows repeated M
-    times. Otherwise source is a sequence of subset KDEs and density
-    callables of (x, deriv), such as `AnalyticModel.subset`: the KDEs that
-    share a kernel go to one `kde_rows` call, and each callable is evaluated
-    at the grid points.
+    source is a sequence of subset KDEs and density callables of (x, deriv),
+    such as `AnalyticModel.subset`: the KDEs that share a kernel go to one
+    `kde_rows` call, and each callable is evaluated at the grid points.
     """
-    if isinstance(source, AnalyticModel):
-        x = grid.points
-        rows = np.stack([source.subset(x, d) for d in derivs])
-        return np.repeat(rows[:, None], source.M, axis=1)
     if not source:
         raise ValueError("need at least one density component")
     out = np.empty((len(derivs), len(source), grid.n_points))

@@ -91,8 +91,15 @@ class ExperimentConfig:
             raise ValueError("n_per_subset needs at least one sample size")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if not (self.sweep_lo < self.sweep_hi):
-            raise ValueError("sweep needs lo < hi")
+        if not (0 < self.sweep_lo < self.sweep_hi < math.inf):
+            raise ValueError(
+                "sweep needs 0 < sweep_lo < sweep_hi < inf: each sweep bandwidth must "
+                f"be positive and finite, got [{self.sweep_lo!r}, {self.sweep_hi!r}]"
+            )
+        if self.seed is not None and not (
+            isinstance(self.seed, numbers.Integral) and self.seed >= 0
+        ):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         self.grid()  # checks the grid bounds and the model
 
     @classmethod
@@ -291,7 +298,6 @@ class MiseCurve:
 
     rows: list[tuple[float, float, float]]  # (h, mise, stderr)
     argmin_h: float
-    argmin_mise: float
     degenerate_count: int = 0
 
 
@@ -326,7 +332,6 @@ def _curve(h_values: np.ndarray, columns: Sequence[Sequence[float | None]]) -> M
     return MiseCurve(
         rows=[(float(h), est.mise, est.stderr) for h, est in zip(h_values, estimates)],
         argmin_h=_refine_argmin(h_values, mises),
-        argmin_mise=float(mises.min()),
         degenerate_count=sum(est.degenerate_count for est in estimates),
     )
 

@@ -1,8 +1,8 @@
-"""Kernel families with cached moments, roughness and autocorrelation.
+"""Kernel families with cached second moment, roughness and autocorrelation.
 
 Two families are shipped: the Gaussian kernel and the Epanechnikov kernel.
-Moments and roughness are stored analytically and cross-checked by
-quadrature when a kernel is built through :func:`from_name`.
+The second moment and roughness are stored analytically and cross-checked
+by quadrature when a kernel is built through :func:`from_name`.
 """
 
 from __future__ import annotations
@@ -28,14 +28,14 @@ class Kernel:
     ----------
     family : str
         ``"gaussian"`` or ``"epanechnikov"``.
-    moments : tuple of float
-        Absolute moments ``k_s = int |t|^s K(t) dt`` for s = 0..3.
+    k2 : float
+        Second moment ``int t^2 K(t) dt``.
     roughness : float
         ``int K(t)^2 dt``.
     """
 
     family: str
-    moments: tuple[float, float, float, float]
+    k2: float
     roughness: float
 
     def __call__(self, t):
@@ -57,11 +57,6 @@ class Kernel:
         """Whether analytic derivatives of the kernel are available."""
         return self.family == GAUSSIAN_FAMILY
 
-    def deriv(self, t, order: int):
-        """d^order/dt^order K(t); only the Gaussian kernel supports order > 0."""
-        (out,) = self.derivs(t, (order,))
-        return out if np.ndim(out) else float(out)
-
     def derivs(self, t, orders):
         """[d^k/dt^k K(t) for k in orders] from one evaluation of K, so the
         Gaussian's K, K' = -t K and K'' = (t^2 - 1) K share one exp; only
@@ -76,16 +71,6 @@ class Kernel:
         t = np.asarray(t, dtype=float)
         K = self(t)
         return [K if k == 0 else -t * K if k == 1 else (t * t - 1.0) * K for k in orders]
-
-    def moment(self, s: int) -> float:
-        """Absolute moment k_s for s in {0, 1, 2, 3}."""
-        if s not in (0, 1, 2, 3):
-            raise ValueError(f"moment order must be in 0..3, got {s}")
-        return self.moments[s]
-
-    @property
-    def k2(self) -> float:
-        return self.moments[2]
 
     def autocorrelation(self, z):
         """K2(z) = int K(s) K(s - z) ds (the kernel's self-convolution)."""
@@ -124,12 +109,7 @@ def from_name(name: str) -> Kernel:
     """Build (and quadrature-validate) a kernel by family name."""
     key = name.strip().lower()
     if key == GAUSSIAN_FAMILY:
-        k1 = math.sqrt(2.0 / math.pi)
-        return _validate(
-            Kernel(GAUSSIAN_FAMILY, (1.0, k1, 1.0, 2.0 * k1), 1.0 / (2.0 * _SQRT_PI))
-        )
+        return _validate(Kernel(GAUSSIAN_FAMILY, 1.0, 1.0 / (2.0 * _SQRT_PI)))
     if key == EPANECHNIKOV_FAMILY:
-        return _validate(
-            Kernel(EPANECHNIKOV_FAMILY, (1.0, 0.375, 0.2, 0.125), 0.6)
-        )
+        return _validate(Kernel(EPANECHNIKOV_FAMILY, 0.2, 0.6))
     raise ValueError(f"unknown kernel family {name!r}")

@@ -19,15 +19,18 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=True)
 class Grid:
-    """Uniform grid on [lo, hi] with n_points >= 2."""
+    """Uniform grid on [lo, hi] with n_points >= 2 and a finite width."""
 
     lo: float
     hi: float
     n_points: int
 
     def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise ValueError(f"grid needs lo < hi, got [{self.lo}, {self.hi}]")
+        # a finite hi - lo also bounds lo and hi, and keeps spacing finite
+        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
+            raise ValueError(
+                f"grid needs lo < hi with a finite width hi - lo, got [{self.lo}, {self.hi}]"
+            )
         if not isinstance(self.n_points, numbers.Integral):
             raise ValueError(f"grid n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 2:

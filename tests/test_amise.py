@@ -124,7 +124,7 @@ def four_term_amise_bar(model, N, h, grid):
     bias, c^2-scaled variance, and the bias cross term."""
     x, dx = grid.points, grid.spacing
     post = normalize([model.subset] * model.M, grid)
-    c, p = post.c_hat, post.values
+    c, p = 1.0 / post.lambda_hat, post.values
     B = c * bias_leading(model, h, x)
     V = variance_leading(model, N, h, x)
     int_B = integrate_values(B, dx)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -159,12 +160,13 @@ def test_header_records_whether_runs_compile_from_source(tmp_path, monkeypatch):
 
 
 def recorded(ratios: dict) -> dict:
-    """A BENCH file's workloads, with the given ops_per_s median ratio per
-    workload, 10 pairs each, and the after side winning 7 of them."""
-    summary = {name: {"median_ratio": 1.0, "after_better_pairs": 5}
-               for name in ("setup_s", "ops_per_s", "peak_rss_mb")}
+    """A BENCH file's workloads, with the given ops_per_s ratio in each of
+    10 pairs per workload and the after side winning 7 of them."""
+    names = ("setup_s", "ops_per_s", "peak_rss_mb")
+    summary = {name: {"median_ratio": 1.0, "after_better_pairs": 5} for name in names}
     return {"workloads": {
-        w: {"pairs": [{}] * 10,
+        w: {"pairs": [{"before": dict.fromkeys(names, 2.0),
+                       "after": {**dict.fromkeys(names, 2.0), "ops_per_s": 2.0 * r}}] * 10,
             "summary": {**summary, "ops_per_s": {"median_ratio": r, "after_better_pairs": 7}}}
         for w, r in ratios.items()}}
 
@@ -179,17 +181,55 @@ def test_read_chains_each_files_ratios_without_running(tmp_path, monkeypatch, ca
     assert bench.main(["--read", str(first), str(second)]) == 0
     lines = capsys.readouterr().out.splitlines()
     start = lines.index("w ops_per_s (higher is better), after / before:")
+    # every pair has the same ratio, so each interval is a point
     assert lines[start + 1:start + 3] == [
-        "  BENCH_11.json  median ratio 1.5000  won 7/10  product 1.5000",
-        "  BENCH_12.json  median ratio 1.1000  won 7/10  product 1.6500",
+        "  BENCH_11.json  median ratio 1.5000 [1.5000, 1.5000]  won 7/10"
+        "  product 1.5000 [1.5000, 1.5000]",
+        "  BENCH_12.json  median ratio 1.1000 [1.1000, 1.1000]  won 7/10"
+        "  product 1.6500 [1.6500, 1.6500]",
     ]
     start = lines.index("v ops_per_s (higher is better), after / before:")
     assert lines[start + 1:start + 3] == [
-        "  BENCH_11.json  median ratio 2.0000  won 7/10  product 2.0000",
+        "  BENCH_11.json  median ratio 2.0000 [2.0000, 2.0000]  won 7/10"
+        "  product 2.0000 [2.0000, 2.0000]",
         "v peak_rss_mb (lower is better), after / before:",
     ]
     # a header per workload and metric, and a line per file that records it
     assert len(lines) == 2 * 3 + 3 * (2 + 1)
+
+
+def spread_file(path, ratios):
+    """A BENCH file whose ops_per_s pairs have the given after / before ratios."""
+    bench = load_tool()
+    pairs = [{"before": {"setup_s": 1.0, "ops_per_s": 100.0, "peak_rss_mb": 50.0},
+              "after": {"setup_s": 1.0, "ops_per_s": 100.0 * r, "peak_rss_mb": 50.0}}
+             for r in ratios]
+    path.write_text(json.dumps({"workloads": {"w": {"pairs": pairs,
+                                                    "summary": bench.summarize(pairs)}}}))
+
+
+def test_read_intervals_hold_the_medians_and_repeat(tmp_path, monkeypatch, capsys):
+    bench = load_tool()
+    monkeypatch.setattr(bench, "run", None)
+    first, second = tmp_path / "BENCH_11.json", tmp_path / "BENCH_12.json"
+    spread_file(first, [0.90, 0.95, 1.00, 1.04, 1.08, 1.12, 1.15, 1.20, 1.26, 1.30])
+    spread_file(second, [1.01, 0.97, 1.05, 0.99, 1.03, 1.02, 1.00, 0.98, 1.04, 1.06])
+    argv = ["--read", str(first), str(second)]
+    assert bench.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("w ops_per_s (higher is better), after / before:")
+    pattern = (r"  BENCH_1[12].json  median ratio (\S+) \[(\S+), (\S+)\]  won \d+/10"
+               r"  product (\S+) \[(\S+), (\S+)\]")
+    widths = []
+    for line in lines[start + 1:start + 3]:
+        median, lo, hi, product, p_lo, p_hi = map(float, re.fullmatch(pattern, line).groups())
+        assert lo < median < hi
+        assert p_lo < product < p_hi
+        widths.append(hi - lo)
+    # the first file's ratios spread more widely, and so does its interval
+    assert widths[0] > widths[1] > 0
+    assert bench.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_a_run_needs_its_arguments_without_read(capsys):

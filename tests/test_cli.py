@@ -82,6 +82,16 @@ class TestFit:
         assert f"bandwidth must be positive and finite, got {float(value)}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bounds", [["--grid-lo", "-3", "--grid-hi=inf"],
+                                        ["--grid-lo=-1e308", "--grid-hi=1e308"]])
+    def test_infinite_grid_is_config_error(self, bounds, subset_dir, tmp_path, capsys):
+        # argparse takes a value that starts with "-" only in the --flag=value form
+        argv = ["fit", "--subsets", str(subset_dir), "--bandwidth", "0.4",
+                "--out", str(tmp_path / "o.csv"), *bounds]
+        assert main(argv) == EXIT_CONFIG
+        assert "finite width" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_auto_window_is_pinned(self, subset_dir, tmp_path):
         # the pooled range padded by 5 (max h + sd), which perfbench's reference freezes
         out = tmp_path / "density.csv"
@@ -339,9 +349,20 @@ class TestMiseSweep:
             assert exc.value.code == 2
 
     def test_seed_flag_required(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["mise-sweep", "--family", "normal"])
-        assert exc.value.code == 2
+        assert main(["mise-sweep", "--family", "normal"]) == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
+
+    def test_config_seed_takes_effect(self, tmp_path):
+        flags = ["--family", "normal", "-M", "2", "--n", "60", "--replications", "4",
+                 "--sweep-count", "5", "--grid-lo", "-4", "--grid-hi", "4",
+                 "--grid-points", "101"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 3}))
+        by_flag, by_file = tmp_path / "flag.csv", tmp_path / "file.csv"
+        assert main(["mise-sweep", *flags, "--seed", "3", "--out", str(by_flag)]) == EXIT_OK
+        assert main(["mise-sweep", *flags, "--config", str(cfg_path),
+                     "--out", str(by_file)]) == EXIT_OK
+        assert by_file.read_text() == by_flag.read_text()
 
     def test_experiment_only_flags_rejected(self, tmp_path, capsys):
         # a sweep has one outer repeat and writes only --out
@@ -428,6 +449,27 @@ class TestExperimentAndReport:
         assert code == EXIT_OK
         assert (tmp_path / "b" / "manifest.json").exists()
         assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--grid-lo", "-4", "--grid-hi=inf", "--seed", "1"], "finite width"),
+        (["--sweep-lo", "0", "--seed", "1"], "bandwidth must be positive and finite"),
+        (["--sweep-hi=inf", "--seed", "1"], "bandwidth must be positive and finite"),
+        (["--seed=-1"], "seed must be a non-negative integer"),
+        (["--config", "{dir}/cfg.json"], "seed must be a non-negative integer"),
+        ([], "--seed"),
+    ])
+    def test_bad_grid_sweep_or_seed_is_config_error(self, tmp_path, capsys, argv, message):
+        # each fails when the config is built, before the output directory
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": 5.5}))
+        argv = [a.format(dir=tmp_path) for a in argv]
+        code = main([
+            "experiment", "--family", "normal", "-M", "2", "--n", "60",
+            "--replications", "3", "--outer-repeats", "1", "--sweep-count", "5",
+            "--output-dir", str(tmp_path / "out"), *argv,
+        ])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -49,6 +49,11 @@ def kde_of(values, h, kernel=GAUSS):
     return fit_subset_kde(SubsetSample(np.asarray(values, dtype=float)), h, kernel)
 
 
+def exact_product(post, x):
+    """The normalized product at x from its components' exact sums."""
+    return np.prod([k(x) for k in post.components], axis=0) / post.lambda_hat
+
+
 class TestSubsetSample:
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
@@ -191,7 +196,8 @@ class TestSubsetKde:
         t = np.arange(-L, L + 1) * (g.spacing / 0.3)
         for k, d in enumerate((0, 1, 2)):
             np.testing.assert_array_equal(both[k], _kernel_table(GAUSS, 0.3, 300, (d,), g.spacing)[0])
-            np.testing.assert_array_equal(both[k], GAUSS.deriv(t, d) / (300 * 0.3 ** (d + 1)))
+            (one,) = GAUSS.derivs(t, (d,))
+            np.testing.assert_array_equal(both[k], one / (300 * 0.3 ** (d + 1)))
 
     def test_on_grid_falls_back_to_the_exact_sum(self):
         values = np.random.default_rng(6).normal(0, 1, 500)
@@ -234,12 +240,24 @@ class TestSubsetKde:
         assert peak < 64 * 2**20  # the 2001 x 200,000 pair matrix is 3.2 GB
         assert integrate_values(vals, x[1] - x[0]) == pytest.approx(1.0, abs=1e-6)
 
-    def test_nonsmooth_kernel_rejects_derivatives(self):
-        kde = kde_of([0.0, 1.0], 0.5, from_name("epanechnikov"))
-        with pytest.raises(ValueError):
-            kde(0.0, 2)
-        with pytest.raises(ValueError):
-            kde_rows([kde.sample], [[kde.bandwidth]], kde.kernel, Grid(-2, 2, 101), (0, 2))
+    @pytest.mark.parametrize("kernel,deriv,message", [
+        ("epanechnikov", 2, "kernel family 'epanechnikov' has no analytic derivatives"),
+        ("gaussian", 3, "derivative order must be in 0..2, got 3"),
+    ], ids=["epanechnikov-2", "gaussian-3"])
+    def test_every_path_rejects_a_derivative_alike(self, kernel, deriv, message):
+        # `Kernel.derivs` is the one check, on the binned path, the exact
+        # fallback and the exact sum alike
+        g = Grid(-2, 2, 101)
+        kde = kde_of([0.0, 1.0], 0.5, from_name(kernel))
+        calls = [
+            lambda: kde_rows([kde.sample], [[0.5]], kde.kernel, g, (0, deriv)),  # 12.5 spacings
+            lambda: kde_rows([kde.sample], [[0.1]], kde.kernel, g, (0, deriv)),  # 2.5 spacings
+            lambda: kde(0.0, deriv),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
 
     def test_fit_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError):
@@ -251,7 +269,7 @@ class TestSubsetKde:
 def per_sample_rows(samples, bandwidths, kernel, grid, derivs):
     """Binned `kde_rows` the long way: each (sample, bandwidth) binned on
     its own over the grid extended by its own L points, and each order's
-    table built by `Kernel.deriv`. Every bandwidth must be binned."""
+    table built by its own `Kernel.derivs` call. Every bandwidth must be binned."""
     dx, G = grid.spacing, grid.n_points
     out = np.empty((len(samples), len(bandwidths[0]), len(derivs), G))
     for m, (sample, h_row) in enumerate(zip(samples, bandwidths)):
@@ -268,7 +286,8 @@ def per_sample_rows(samples, bandwidths, kernel, grid, derivs):
             bins[1:] += np.bincount(j, weights=u, minlength=G + 2 * L + 1)
             t = np.arange(-L, L + 1) * (dx / h)
             for k, d in enumerate(derivs):
-                table = kernel.deriv(t, d) / (n * h ** (d + 1))
+                (table,) = kernel.derivs(t, (d,))
+                table = table / (n * h ** (d + 1))
                 out[m, r, k] = np.convolve(bins[1:-1], table, mode="valid")
     return out
 
@@ -328,12 +347,16 @@ class TestProduct:
     def test_product_is_componentwise_product(self):
         rng = np.random.default_rng(3)
         kdes = [kde_of(rng.normal(0, 1, 40), 0.35) for _ in range(3)]
-        post = normalize(kdes, Grid(-5, 5, 1001))
+        g = Grid(-5, 5, 1001)
+        post = normalize(kdes, g)
+        rows = kde_rows([k.sample for k in kdes], [[0.35]] * 3, GAUSS, g)[:, 0, 0]
+        np.testing.assert_allclose(post.values * post.lambda_hat, rows[0] * rows[1] * rows[2],
+                                   rtol=1e-13)
         x = np.linspace(-1.5, 1.5, 11)
         expected = kdes[0](x) * kdes[1](x) * kdes[2](x)
-        np.testing.assert_allclose(post.posterior(x) * post.lambda_hat, expected, rtol=1e-13)
-        assert post.posterior(x[5]) * post.lambda_hat == pytest.approx(expected[5], rel=1e-13)
-        assert post.posterior([]).shape == (0,)
+        np.testing.assert_allclose(exact_product(post, x) * post.lambda_hat, expected, rtol=1e-13)
+        assert exact_product(post, x[5]) * post.lambda_hat == pytest.approx(expected[5], rel=1e-13)
+        assert exact_product(post, np.array([])).shape == (0,)
 
     def test_normalized_product_integrates_to_one(self):
         rng = np.random.default_rng(4)
@@ -341,14 +364,17 @@ class TestProduct:
         kdes = [kde_of(rng.normal(0, 1, 150), 0.3) for _ in range(4)]
         post = normalize(kdes, g)
         assert integrate_values(post.values, g.spacing) == pytest.approx(1.0, abs=1e-9)
-        assert post.c_hat == pytest.approx(1.0 / post.lambda_hat)
+        # c = 1 / lambda normalizes the exact sums too, up to the binning
+        # error of the grid rows lambda comes from (4.8e-6 here)
+        assert integrate_values(exact_product(post, g.points), g.spacing) == pytest.approx(
+            1.0, abs=2e-5)
 
     def test_stored_grid_values_match_posterior(self):
-        # values come from the binned grid rows, posterior(x) from the exact sum
+        # values come from the binned grid rows, the exact product from the exact sums
         rng = np.random.default_rng(5)
         g = Grid(-6, 6, 1201)  # h = 30 spacings
         post = normalize([kde_of(rng.normal(0, 1, 150), 0.3) for _ in range(4)], g)
-        err = np.abs(post.values - post.posterior(g.points)).max() / post.values.max()
+        err = np.abs(post.values - exact_product(post, g.points)).max() / post.values.max()
         assert err <= on_grid_bound("gaussian", 0, 30)
 
     def test_disjoint_supports_are_degenerate(self):
@@ -383,7 +409,7 @@ class TestAnalyticModel:
             post = normalize([m.subset] * M, Grid(-9, 9, 8001))
             lam = (2.0 * math.pi * 1.3**2) ** ((1 - M) / 2.0) / math.sqrt(M)
             assert post.lambda_hat == pytest.approx(lam, rel=1e-9)
-            assert post.c_hat == pytest.approx(1.0 / lam, rel=1e-9)
+            assert 1.0 / post.lambda_hat == pytest.approx(1.0 / lam, rel=1e-9)
 
     def test_gamma_lambda_against_quadrature(self):
         # the posterior is p1^M / lambda, so p1(x)^M / posterior(x) is lambda

@@ -12,9 +12,7 @@ SQRT_PI = math.sqrt(math.pi)
 def test_gaussian_constants():
     k = from_name("gaussian")
     assert k(0.0) == pytest.approx(0.3989423, abs=5e-8)
-    assert k.moment(1) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
     assert k.k2 == pytest.approx(1.0, rel=1e-12)
-    assert k.moment(3) == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=1e-12)
     assert k.roughness == pytest.approx(1.0 / (2.0 * SQRT_PI), rel=1e-12)
     assert k.roughness == pytest.approx(0.2820948, abs=5e-8)
 
@@ -24,10 +22,8 @@ def test_epanechnikov_constants():
     assert k(0.0) == pytest.approx(0.75, rel=1e-12)
     assert k(1.0) == 0.0
     assert k(1.5) == 0.0
-    # |t|, t^2, |t|^3 moments of (3/4)(1 - t^2) on [-1, 1]
-    assert k.moment(1) == pytest.approx(0.375, rel=1e-12)
+    # t^2 moment of (3/4)(1 - t^2) on [-1, 1]
     assert k.k2 == pytest.approx(0.2, rel=1e-12)
-    assert k.moment(3) == pytest.approx(0.125, rel=1e-12)
     assert k.roughness == pytest.approx(0.6, rel=1e-12)
 
 
@@ -60,15 +56,16 @@ def test_gaussian_derivatives_match_finite_differences():
     for t in (-1.7, -0.3, 0.0, 0.9, 2.4):
         fd1 = (k(t + eps) - k(t - eps)) / (2 * eps)
         fd2 = (k(t + eps) - 2 * k(t) + k(t - eps)) / eps**2
-        assert k.deriv(t, 1) == pytest.approx(fd1, abs=1e-9)
-        assert k.deriv(t, 2) == pytest.approx(fd2, abs=1e-5)
+        d1, d2 = k.derivs(t, (1, 2))
+        assert d1 == pytest.approx(fd1, abs=1e-9)
+        assert d2 == pytest.approx(fd2, abs=1e-5)
 
 
 def test_epanechnikov_rejects_derivatives():
     k = from_name("epanechnikov")
     assert not k.smooth
     with pytest.raises(ValueError):
-        k.deriv(0.3, 2)
+        k.derivs(0.3, (2,))
 
 
 def test_gaussian_autocorrelation_closed_form():
@@ -109,13 +106,5 @@ def test_autocorrelation_at_zero_is_roughness():
 def test_kernel_method_accessors():
     k = from_name("gaussian")
     assert k(0.0) == 1.0 / math.sqrt(2.0 * math.pi)
-    assert k.moment(2) == k.k2
     assert k.autocorrelation(0.7) == math.exp(-0.25 * 0.49) / (2.0 * SQRT_PI)
 
-
-def test_moment_order_bounds():
-    k = from_name("gaussian")
-    with pytest.raises(ValueError):
-        k.moment(4)
-    with pytest.raises(ValueError):
-        k.moment(-1)

@@ -33,6 +33,11 @@ class TestGrid:
             Grid(1.0, 0.0, 10)
         with pytest.raises(ValueError):
             Grid(0.0, 1.0, 1)
+        # an infinite bound, or a width hi - lo that overflows
+        for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="finite width"):
+                Grid(lo, hi, 10)
+        assert Grid(-1e308, 5e307, 10).spacing > 0
 
     @pytest.mark.parametrize("n_points", [201.5, 2001.0])
     def test_rejects_a_non_integer_point_count(self, n_points):

@@ -37,7 +37,12 @@ reads recorded files and runs nothing. Only ratios within one file can be
 compared, so it prints, per workload and end-to-end metric, each file's
 median per-pair ratio (after / before), the pairs the after side won and
 the running product of the ratios, file by file in the order given. A file
-that does not record the workload is skipped for it.
+that does not record the workload is skipped for it. Each median and each
+running product comes with a 90% interval from resampling: a file's pairs
+are drawn with replacement RESAMPLES times and the median ratio taken of
+each draw, and the product's draws multiply one draw of each file, the
+files resampled independently. The generator has a fixed seed, so the
+same files print the same intervals.
 
 The script exits 1, naming the workload, seed and side, when a run reports
 `correct: false` or failed operations; every workload still runs and the
@@ -63,6 +68,8 @@ with open(BENCHMARK) as _fh:
     # name -> {"better": "higher" or "lower", "bound": share of the before median}
     METRICS = {m["name"]: m for m in json.load(_fh)["end_to_end"]}
 GAIN_SHARE = 0.9  # share of pairs the after side must win to show a gain
+RESAMPLES = 2000  # resampled medians behind each interval --read prints
+INTERVAL = (5.0, 95.0)  # percentiles of those medians: a 90% interval
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -122,16 +129,26 @@ def trajectory(paths: list[str]) -> list[str]:
     for workload in dict.fromkeys(w for _, recorded in files for w in recorded):
         for name, metric in METRICS.items():
             lines.append(f"{workload} {name} ({metric['better']} is better), after / before:")
-            product = 1.0
+            rng = np.random.default_rng(0)
+            product, products = 1.0, np.ones(RESAMPLES)
             for label, recorded in files:
                 if workload not in recorded:
                     continue
                 pairs, summary = recorded[workload]["pairs"], recorded[workload]["summary"][name]
+                ratios = np.array([p["after"][name] / p["before"][name] for p in pairs])
+                draws = np.median(ratios[rng.integers(len(ratios), size=(RESAMPLES, len(ratios)))],
+                                  axis=1)
                 product *= summary["median_ratio"]
+                products *= draws
                 lines.append(f"  {label}  median ratio {summary['median_ratio']:.4f}"
-                             f"  won {summary['after_better_pairs']}/{len(pairs)}"
-                             f"  product {product:.4f}")
+                             f" {interval(draws)}  won {summary['after_better_pairs']}/{len(pairs)}"
+                             f"  product {product:.4f} {interval(products)}")
     return lines
+
+
+def interval(draws: np.ndarray) -> str:
+    lo, hi = np.percentile(draws, INTERVAL)
+    return f"[{lo:.4f}, {hi:.4f}]"
 
 
 def main(argv=None) -> int:
