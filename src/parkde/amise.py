@@ -14,20 +14,18 @@ and I_i = int c q_i (Wand & Jones 1995, section 3.6). So beta is a Gram
 matrix, symmetric and positive semidefinite, and both need only the rows
 c L_i = L_i / lambda, never c or c^2. `_coefficients` alone forms beta and
 nu, over the distinct subset densities with their multiplicities, so a
-symmetric model's M identical densities cost one row; `amise_bar` is
-`amise_hat` of its coefficients for the true densities. K is the Gaussian
+symmetric model's M identical densities cost one row; `amise_bar` of
+density callables is `amise_hat` of their coefficients. K is the Gaussian
 kernel, the only one whose estimates have the curvatures p''.
 
 Only nu's integrals and beta need the grid, and neither depends on h or N.
-For a model they are memoized per (model, grid) in a fixed-size LRU cache,
-so a bandwidth search and `ab_constants` on one model and grid integrate
-once; an entry holds one density's 1 x 1 beta and its nu integral,
-read-only, and each call repeats them out to fresh (M, M) and (M,) arrays.
-A second, smaller LRU cache keeps `amise_bar`'s finished coefficients per
-(model, N, grid), so each call of a search over h only evaluates the
-surrogate; its read-only arrays never leave the module. A model that
-raises is cached at neither level. Subset KDEs and density callables are
-not memoized: they are put on the grid on every call.
+A model's M identical densities give one beta entry b and one nu integral
+d, so its functional is b (sum_i h_i^2)^2 + sum_i d / (N_i h_i).
+`_model_integrals` memoizes (b, d) per (model, grid) in a fixed-size LRU
+cache, so a bandwidth search and `ab_constants` on one model and grid
+integrate once and form no M x M array. A model that raises is not
+cached. Subset KDEs and density callables are not memoized: they are put
+on the grid on every call.
 """
 
 from __future__ import annotations
@@ -101,18 +99,31 @@ def amise_product(source, N: Sequence[int], h: Sequence[float], grid: Grid) -> f
 def amise_bar(source, N: Sequence[int], h: Sequence[float], grid: Grid) -> float:
     """Leading-order weighted error of the normalized posterior estimator.
 
-    Feeds the coefficient builder the true densities of source (a model, or
-    a list of density callables) and their second derivatives on the grid,
-    with sample sizes N, and evaluates the surrogate at h. A model's
-    coefficients come from `_model_coefficients`, so a search over h on one
-    (model, N, grid) builds them once.
+    Feeds the coefficient builder the true densities of source, a list of
+    density callables, and their second derivatives on the grid, with
+    sample sizes N, and evaluates the surrogate at h. A model's functional
+    is b s^2 + sum_i d / (N_i h_i) with s = sum_i h_i^2, from its two
+    numbers (b, d) in `_model_integrals`.
     """
-    if isinstance(source, AnalyticModel):
-        N = np.asarray(N, dtype=float)
-        coeffs = _model_coefficients(source, N.shape, tuple(N.ravel().tolist()), grid)
-    else:
-        coeffs = _coefficients(source, N, grid)
-    return amise_hat(coeffs, h)
+    if not isinstance(source, AnalyticModel):
+        return amise_hat(_coefficients(source, N, grid), h)
+    b, d = _model_integrals(source, grid)
+    N = np.asarray(N, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if N.shape != (source.M,) or h.shape != N.shape:
+        raise ValueError(f"need {source.M} sample sizes and bandwidths, got {N} and {h}")
+    if not (h > 0).all():
+        raise ValueError(f"bandwidths must be positive and finite, got {h}")
+    # d > 0 and h > 0, so positive terms with a finite sum mean that N and h
+    # are positive and finite; a sum that overflows for good N and h is inf
+    terms = d / N / h
+    variance = np.add.reduce(terms)
+    if not ((terms > 0).all() and np.isfinite(variance)):
+        for name, v in (("sample sizes", N), ("bandwidths", h)):
+            if not (np.isfinite(v).all() and (v > 0).all()):
+                raise ValueError(f"{name} must be positive and finite, got {v}")
+    s = h @ h
+    return float(b * s * s + variance)
 
 
 @dataclass(frozen=True)
@@ -137,22 +148,13 @@ class AmiseCoefficients:
 
 
 def _coefficients(source, N, grid: Grid) -> AmiseCoefficients:
-    """beta and nu for a model, density callables or subset KDEs on grid;
-    the one place the error functional's coefficients are formed.
+    """beta and nu for density callables or subset KDEs on grid; the one
+    place the error functional's coefficients are formed.
 
-    `_integrals` integrates over the distinct subset densities, each with a
-    multiplicity k: a model's one subset density has k = M, and its
-    integrals are memoized per (model, grid); each callable or KDE of a
-    sequence has k = 1 and is put on the grid on every call. A model's beta
-    and nu integrals are then repeated out to the M subsets, and nu is
-    divided by N.
+    Each callable or KDE is one subset density, put on the grid on every
+    call; nu is its integral divided by N.
     """
-    if isinstance(source, AnalyticModel):
-        k = source.M
-        dens, beta = _model_integrals(source, grid)
-        dens, beta = dens.repeat(k), beta.repeat(k, axis=0).repeat(k, axis=1)
-    else:
-        dens, beta = _integrals(source, 1, grid)
+    dens, beta = _integrals(source, 1, grid)
     nu = dens / np.asarray(N, dtype=float)
     return AmiseCoefficients(beta, nu, len(nu))
 
@@ -194,32 +196,14 @@ def _integrals(source, k: int, grid: Grid):
 
 
 @lru_cache(maxsize=64)
-def _model_integrals(model: AnalyticModel, grid: Grid):
-    """`_integrals` of a model's one subset density, M times in the product.
+def _model_integrals(model: AnalyticModel, grid: Grid) -> tuple[float, float]:
+    """A model's two numbers (b, d): beta's one entry and nu's one integral
+    over its subset density, M times in the product.
 
-    Memoized per (model, grid), read-only. An entry holds a 1 x 1 beta and
-    one nu integral, a few hundred bytes at any M and G, so 64 of them cost
-    a few kB. Exceptions are not cached.
+    Memoized per (model, grid); exceptions are not cached.
     """
     dens, beta = _integrals([model.subset], model.M, grid)
-    dens.flags.writeable = False
-    beta.flags.writeable = False
-    return dens, beta
-
-
-@lru_cache(maxsize=4)
-def _model_coefficients(model: AnalyticModel, shape: tuple, N: tuple, grid: Grid):
-    """`_coefficients` of a model for the sample sizes N (floats, with their
-    array shape), memoized per (model, N, grid) for `amise_bar` alone.
-
-    An entry's arrays are read-only and no caller receives them. Each entry
-    holds an M x M beta, so the worst case grows with M: 4 entries at M=700
-    take about 16 MB. Exceptions are not cached.
-    """
-    coeffs = _coefficients(model, np.reshape(N, shape), grid)
-    coeffs.beta.flags.writeable = False
-    coeffs.nu.flags.writeable = False
-    return coeffs
+    return float(beta[0, 0]), float(dens[0])
 
 
 def empirical_coefficients(

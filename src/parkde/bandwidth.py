@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .amise import AmiseCoefficients, _check_h, _coefficients, _surrogate
+from .amise import AmiseCoefficients, _check_h, _coefficients, _model_integrals, _surrogate
 from .estimators import AnalyticModel, SubsetSample, data_window, fit_subset_kde
 from .kernels import from_name
 from .quadrature import Grid
@@ -47,11 +47,11 @@ def h_opt_symmetric(n: int, A: float, B: float) -> float:
 def ab_constants(model: AnalyticModel, grid: Grid) -> tuple[float, float]:
     """Symmetric-case constants A(M), B(M) of M A h^4 + M B / (n h).
 
-    Feeds the coefficient builder the model's subset densities with unit
-    sample sizes: A is the sum of beta over M and B the mean of nu.
+    At a common h and n the model's functional b (M h^2)^2 + M d / (n h)
+    gives A = M b and B = d, from its two numbers (b, d).
     """
-    coeffs = _coefficients(model, np.ones(model.M), grid)
-    return float(coeffs.beta.sum()) / model.M, float(coeffs.nu.mean())
+    b, d = _model_integrals(model, grid)
+    return model.M * b, d
 
 
 def h_opt_normal(n: int, M: int, sigma: float) -> float:

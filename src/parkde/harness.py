@@ -96,11 +96,13 @@ class ExperimentConfig:
                 "sweep needs 0 < sweep_lo < sweep_hi < inf: each sweep bandwidth must "
                 f"be positive and finite, got [{self.sweep_lo!r}, {self.sweep_hi!r}]"
             )
-        if self.seed is not None and not (
-            isinstance(self.seed, numbers.Integral) and self.seed >= 0
-        ):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.seed is not None:
+            _check_seed(self.seed)
         self.grid()  # checks the grid bounds and the model
+        # a family's parameters take effect; the other family's keep their defaults
+        for key in ("alpha", "theta") if self.family == "normal" else ("mu", "sigma"):
+            if getattr(self, key) != getattr(ExperimentConfig, key):
+                raise ValueError(f"family {self.family!r} does not use config key {key!r}")
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -133,10 +135,10 @@ def closed_form_h(model: AnalyticModel, n: int, baseline: bool = False) -> float
 # sampling and single-shot error measures
 
 
-def _stream(seed, outer: int, rep: int, subset: int) -> np.random.Generator:
-    if seed is None:
-        raise ValueError("a seed is required for reproducible sampling")
-    return np.random.default_rng([int(seed), outer, rep, subset])
+def _check_seed(seed) -> None:
+    """The one seed rule: a seed is a non-negative integer."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def sample_model(
@@ -145,9 +147,10 @@ def sample_model(
     """model.M independent subsets of n i.i.d. draws, deterministic given the key."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_seed(seed)
     out = []
     for m in range(model.M):
-        rng = _stream(seed, outer, rep, m)
+        rng = np.random.default_rng([int(seed), outer, rep, m])
         out.append(SubsetSample(model.sample_subset(rng, n), subset_index=m + 1))
     return out
 
@@ -208,10 +211,11 @@ def _ise_columns(
     pool of at most one worker per job, or this process for one worker. Jobs
     are dispatched heaviest first (most h rows; a stable sort), so no worker
     is left with a long job at the end; results come back in job order.
-    Every bandwidth is checked once, before any job runs.
+    The seed and every bandwidth are checked once, before any job runs.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications for a standard error")
+    _check_seed(seed)
     bad = [h for _, _, rows, _ in batches for row in rows for h in row if not 0 < h < math.inf]
     if bad:
         raise ValueError(f"bandwidth must be positive and finite, got {bad[0]}")
@@ -371,22 +375,24 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     model = cfg.model()
     grid = cfg.grid()
     ns = cfg.n_per_subset
+    # every batch is built before the output directory, so a closed form
+    # that fails leaves nothing behind
+    policies = (("h_opt", False), ("h_opt_baseline", True))
+    policy_hs = [[closed_form_h(model, n, baseline=b) for _, b in policies] for n in ns]
+    batches = [(model, n, [(h,) * model.M for h in hs], 0) for n, hs in zip(ns, policy_hs)]
+    sweeps = []
+    for n in ns:
+        h_opt = closed_form_h(model, n)
+        h_values, h_rows = _sweep_rows(
+            model, np.linspace(cfg.sweep_lo * h_opt, cfg.sweep_hi * h_opt, cfg.sweep_count)
+        )
+        batches += [(model, n, h_rows, 1 + r) for r in range(cfg.outer_repeats)]
+        sweeps.append((n, h_opt, h_values))
     os.makedirs(cfg.output_dir, exist_ok=True)
     mise_path = os.path.join(cfg.output_dir, "mise_vs_n.csv")
     ratio_path = os.path.join(cfg.output_dir, "ratio.csv")
     manifest_path = os.path.join(cfg.output_dir, "manifest.json")
-    policies = (("h_opt", False), ("h_opt_baseline", True))
     try:
-        policy_hs = [[closed_form_h(model, n, baseline=b) for _, b in policies] for n in ns]
-        batches = [(model, n, [(h,) * model.M for h in hs], 0) for n, hs in zip(ns, policy_hs)]
-        sweeps = []
-        for n in ns:
-            h_opt = closed_form_h(model, n)
-            h_values, h_rows = _sweep_rows(
-                model, np.linspace(cfg.sweep_lo * h_opt, cfg.sweep_hi * h_opt, cfg.sweep_count)
-            )
-            batches += [(model, n, h_rows, 1 + r) for r in range(cfg.outer_repeats)]
-            sweeps.append((n, h_opt, h_values))
         columns = _ise_columns(batches, cfg.replications, cfg.seed, grid, cfg.workers)
 
         with open(mise_path, "w", newline="") as fh:

@@ -33,11 +33,10 @@ SQRT_PI = math.sqrt(math.pi)
 
 
 @pytest.fixture(autouse=True)
-def cold_model_caches():
-    """Every test starts with both model caches empty, so counts taken from
-    them do not depend on which tests ran before."""
+def cold_model_cache():
+    """Every test starts with the model cache empty, so counts taken from it
+    do not depend on which tests ran before."""
     amise._model_integrals.cache_clear()
-    amise._model_coefficients.cache_clear()
 
 
 def make_posterior(seed, M, n, h, lo=-5.0, hi=5.0, pts=2001):
@@ -163,17 +162,18 @@ def _model_and_grid(family, M, points=2001):
 @pytest.mark.parametrize("family", ["normal", "gamma"])
 @pytest.mark.parametrize("M", [1, 2, 4, 32, 64])
 @pytest.mark.parametrize("points", [2001, 2000])
-def test_model_coefficients_match_its_subset_densities(family, M, points):
+def test_model_integrals_match_its_subset_densities(family, M, points):
     # a model's one row with multiplicity M against M rows of multiplicity 1
     model, grid = _model_and_grid(family, M, points)
     N = 100.0 + 37.0 * np.arange(M)
-    shared = _coefficients(model, N, grid)
+    b, d = amise._model_integrals(model, grid)
     rows = _coefficients([model.subset] * M, N, grid)
+    beta, nu = np.full((M, M), b), d / N
     if M == 1:
-        np.testing.assert_array_equal(shared.beta, rows.beta)
-        np.testing.assert_array_equal(shared.nu, rows.nu)
-    np.testing.assert_allclose(shared.beta, rows.beta, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(shared.nu, rows.nu, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(beta, rows.beta)
+        np.testing.assert_array_equal(nu, rows.nu)
+    np.testing.assert_allclose(beta, rows.beta, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(nu, rows.nu, rtol=1e-12, atol=0)
 
 
 def _three_term_beta(P, Pdd, grid):
@@ -213,10 +213,17 @@ def test_kde_beta_is_a_symmetric_positive_semidefinite_gram_matrix(M):
 def test_amise_bar_validates_bandwidths():
     m = AnalyticModel.normal(0.0, 1.0, 2)
     g = Grid(-6, 6, 401)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 2 sample sizes and bandwidths"):
         amise_bar(m, [500] * 2, [0.3], g)
-    with pytest.raises(ValueError):
-        amise_bar(m, [500] * 2, [0.3, 0.0], g)
+    for bad in (0.0, -0.3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="bandwidths must be positive and finite") as exc:
+            amise_bar(m, [500] * 2, [0.3, bad], g)
+        assert str(exc.value).endswith(str(np.array([0.3, bad])))
+    # a negative h and a negative N give a positive variance term
+    with pytest.raises(ValueError, match="bandwidths must be positive and finite"):
+        amise_bar(m, [500, -500], [0.3, -0.3], g)
+    with pytest.raises(ValueError, match=r"sample sizes must be positive and finite, got \[500"):
+        amise_bar(m, [500, math.inf], [0.3, math.inf], g)
 
 
 def test_amise_bar_rejects_non_finite_curvature():
@@ -272,40 +279,21 @@ def test_model_integrals_are_built_once_per_model_and_grid(monkeypatch):
 
 @pytest.mark.parametrize("family", ["normal", "gamma"])
 @pytest.mark.parametrize("M", [1, 2, 32])
-def test_memoized_coefficients_equal_a_cold_build(family, M):
-    amise._model_integrals.cache_clear()
+def test_memoized_amise_bar_equals_a_cold_build(family, M):
     model, grid = _model_and_grid(family, M)
     N1 = 100.0 + 37.0 * np.arange(M)
     N2 = 5000.0 - 11.0 * np.arange(M)
-    cold1 = _coefficients(model, N1, grid)
+    h = np.linspace(0.1, 0.6, M)
+    cold1 = amise_bar(model, N1, h, grid)
     amise._model_integrals.cache_clear()
-    cold2 = _coefficients(model, N2, grid)
-    warm1 = _coefficients(model, N1, grid)
-    warm2 = _coefficients(model, N2, grid)
+    cold2 = amise_bar(model, N2, h, grid)
+    warm1 = amise_bar(model, N1, h, grid)
+    warm2 = amise_bar(model, N2, h, grid)
     # two N vectors share one entry, built once
     info = amise._model_integrals.cache_info()
     assert (info.currsize, info.misses) == (1, 1)
-    for cold, warm in ((cold1, warm1), (cold2, warm2)):
-        np.testing.assert_array_equal(warm.beta, cold.beta)
-        np.testing.assert_array_equal(warm.nu, cold.nu)
-    # N moves nu alone
-    np.testing.assert_array_equal(warm2.beta, warm1.beta)
-    assert not np.any(warm2.nu == warm1.nu)
-
-
-@pytest.mark.parametrize("M", [1, 3])
-def test_changing_returned_coefficients_leaves_the_memo_alone(M):
-    amise._model_integrals.cache_clear()
-    model, grid = _model_and_grid("normal", M)
-    N, h = [400, 500, 600][:M], [0.2, 0.3, 0.4][:M]
-    first = _coefficients(model, N, grid)
-    beta, nu, value = first.beta.copy(), first.nu.copy(), amise_bar(model, N, h, grid)
-    first.beta[:] = -1.0
-    first.nu[:] = 1.0
-    again = _coefficients(model, N, grid)
-    np.testing.assert_array_equal(again.beta, beta)
-    np.testing.assert_array_equal(again.nu, nu)
-    assert amise_bar(model, N, h, grid) == value
+    assert (warm1, warm2) == (cold1, cold2)
+    assert warm1 != warm2
 
 
 def test_a_model_that_raises_raises_on_every_call():
@@ -317,38 +305,37 @@ def test_a_model_that_raises_raises_on_every_call():
             amise_bar(model, [500] * 1024, [0.3] * 1024, grid)
     info = amise._model_integrals.cache_info()
     assert (info.currsize, info.misses) == (0, 2)
-    info = amise._model_coefficients.cache_info()
-    assert (info.currsize, info.misses) == (0, 2)
 
 
-def test_a_search_builds_a_models_coefficients_once(monkeypatch):
-    builds = []
+def test_a_search_integrates_a_model_once_for_any_N(monkeypatch):
+    builds, integrals = [], amise._integrals
 
-    def counting_coefficients(source, N, grid):
+    def counting_integrals(source, k, grid):
         builds.append(source)
-        return _coefficients(source, N, grid)
+        return integrals(source, k, grid)
 
-    monkeypatch.setattr(amise, "_coefficients", counting_coefficients)
+    monkeypatch.setattr(amise, "_integrals", counting_integrals)
     model, grid = _model_and_grid("gamma", 4)
 
     def search(N, grid):
         return argmin_scalar(lambda h: amise_bar(model, N, np.full(4, h), grid), 0.02, 4.0, 1e-7)
 
     h_list, _ = search([500] * 4, grid)
-    # equal N as a tuple, an ndarray, ints or floats is the same entry
+    # equal N as a tuple, an ndarray, ints or floats gives the same search
     for N in ((500,) * 4, np.full(4, 500), np.full(4, 500.0), [500.0] * 4):
         assert search(N, grid)[0] == h_list
+    # another N builds nothing
+    assert search([900] * 4, grid)[0] != h_list
     assert len(builds) == 1
-    info = amise._model_coefficients.cache_info()
+    info = amise._model_integrals.cache_info()
     assert (info.currsize, info.misses) == (1, 1) and info.hits > 100
-    # another N or another grid is another entry
-    search([900] * 4, grid)
+    # another grid is another entry
     search([500] * 4, Grid(*model.window(), 2000))
-    assert len(builds) == 3
+    assert len(builds) == 2
     # density callables are built on every call
     for _ in range(2):
         amise_bar([model.subset] * 4, [500] * 4, [0.3] * 4, grid)
-    assert len(builds) == 5
+    assert len(builds) == 4
 
 
 @pytest.mark.parametrize("family", ["normal", "gamma"])
@@ -363,49 +350,48 @@ def test_a_search_builds_a_models_coefficients_once(monkeypatch):
     ],
     ids=["int list", "float list", "int array", "float array"],
 )
-def test_cached_amise_bar_equals_a_fresh_build(family, M, sizes):
+def test_cached_amise_bar_equals_a_cold_call(family, M, sizes):
     model, grid = _model_and_grid(family, M)
     N = sizes(M)
     for h in (np.full(M, 0.3), np.linspace(0.1, 0.6, M)):
-        fresh = amise_hat(_coefficients(model, N, grid), h)
-        assert amise_bar(model, N, h, grid) == fresh  # built into the cache
-        assert amise_bar(model, N, h, grid) == fresh  # from the cache
+        amise._model_integrals.cache_clear()
+        cold = amise_bar(model, N, h, grid)  # integrates into the cache
+        assert amise_bar(model, N, h, grid) == cold  # from the cache
+        assert cold == amise_bar(model, 400.0 + 37.0 * np.arange(M), h, grid)
+        rows = amise_hat(_coefficients([model.subset] * M, N, grid), h)
+        assert cold == pytest.approx(rows, rel=1e-12, abs=0)
 
 
-def test_cached_coefficients_are_read_only_and_never_handed_out():
+def test_a_models_entry_is_two_floats():
     model, grid = _model_and_grid("normal", 3)
-    N = [400, 500, 600]
-    assert isinstance(amise_bar(model, N, [0.3] * 3, grid), float)
-    entry = amise._model_coefficients(model, (3,), (400.0, 500.0, 600.0), grid)
-    assert amise._model_coefficients.cache_info().hits == 1
-    for array in (entry.beta, entry.nu):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1.0
-    fresh = _coefficients(model, N, grid)
-    for array, cached in ((fresh.beta, entry.beta), (fresh.nu, entry.nu)):
-        assert array.flags.writeable and not np.shares_memory(array, cached)
-        np.testing.assert_array_equal(array, cached)
-    A, B = ab_constants(model, grid)
-    assert math.isfinite(A) and math.isfinite(B)
+    assert isinstance(amise_bar(model, [400, 500, 600], [0.3] * 3, grid), float)
+    entry = amise._model_integrals(model, grid)
+    assert amise._model_integrals.cache_info().hits == 1
+    assert len(entry) == 2 and all(type(v) is float for v in entry)
+    b, d = entry
+    assert ab_constants(model, grid) == (3 * b, d)
 
 
 @pytest.mark.parametrize(
     "N",
-    [[500] * 3, [500, 500, 0], [500, -500, 500, 500], [[500] * 4], ["many"] * 4],
-    ids=["short", "zero", "negative", "two-dimensional", "not a number"],
+    [[500] * 3, [500, 500, 0], [500, -500, 500, 500], [[500] * 4], ["many"] * 4,
+     [500, 500, 0, 500], [500, math.inf, 500, 500], [500, 500, math.nan, 500]],
+    ids=["short", "zero", "negative", "two-dimensional", "not a number", "zero of four",
+         "infinite", "nan"],
 )
 def test_a_bad_sample_size_raises_on_every_call(N):
     model, grid = _model_and_grid("normal", 4)
-    # a cached good N whose values a bad one repeats does not let it through
+    # the model's entry is cached by a good call; a bad N adds nothing to it
     amise_bar(model, [500] * 4, [0.3] * 4, grid)
-    with pytest.raises(ValueError) as first:
-        _coefficients(model, N, grid)
+    messages = set()
     for _ in range(2):
-        with pytest.raises(ValueError) as again:
+        with pytest.raises(ValueError) as bad:
             amise_bar(model, N, [0.3] * 4, grid)
-        assert str(again.value) == str(first.value)
-    assert amise._model_coefficients.cache_info().currsize == 1
+        messages.add(str(bad.value))
+    (message,) = messages
+    assert "500" in message or "many" in message
+    info = amise._model_integrals.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
 
 
 def test_empirical_coefficients_match_plugin_error_functional():

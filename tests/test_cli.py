@@ -471,6 +471,25 @@ class TestExperimentAndReport:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["--family", "normal", "--n", "0"], EXIT_CONFIG, "n and M must be >= 1"),
+        (["--family", "gamma", "--alpha", "1.2", "--n", "100"], EXIT_NUMERICAL,
+         "gamma closed form needs alpha > 1 + 3/(2M)"),
+        (["--family", "gamma", "--mu", "5", "--sigma", "9", "--n", "100"], EXIT_CONFIG,
+         "family 'gamma' does not use config key 'mu'"),
+        (["--family", "normal", "--theta", "2", "--n", "100"], EXIT_CONFIG,
+         "family 'normal' does not use config key 'theta'"),
+    ], ids=["n zero", "gamma outside closed form", "gamma with mu", "normal with theta"])
+    def test_failing_closed_form_or_unused_key_makes_no_directory(
+        self, tmp_path, capsys, argv, code, message
+    ):
+        assert main([
+            "experiment", "-M", "2", *argv, "--replications", "3", "--outer-repeats", "1",
+            "--sweep-count", "5", "--seed", "1", "--output-dir", str(tmp_path / "o1"),
+        ]) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o1").exists()
+
     def test_bad_config_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"family": "normal", "bogus": 1}))

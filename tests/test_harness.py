@@ -63,6 +63,24 @@ class TestSampleModel:
         with pytest.raises(ValueError):
             sample_model(NORMAL4, 10, seed=None)
 
+    @pytest.mark.parametrize("seed", [5.5, 5.0, -1, None, "5"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        g = Grid(-4, 4, 101)
+        calls = (
+            lambda: sample_model(NORMAL4, 10, seed),
+            lambda: estimate_mise(NORMAL4, 10, 0.3, 2, seed, g),
+            lambda: sweep_bandwidth(NORMAL4, 10, [0.2, 0.25, 0.3, 0.35, 0.4], 2, seed, g),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"seed must be a non-negative integer, got {seed!r}"
+
+    def test_numpy_integer_seed_draws_the_int_seeds_samples(self):
+        a = sample_model(NORMAL4, 10, np.uint32(5))
+        b = sample_model(NORMAL4, 10, 5)
+        assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
+
 
 def per_row_replication(job):
     """One replication the long way: per row, one KDE call per subset, one
@@ -275,6 +293,16 @@ class TestConfig:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown model family 'Normal'"):
             ExperimentConfig(family="Normal")
+
+    @pytest.mark.parametrize("family, key, value", [
+        ("gamma", "mu", 5.0), ("gamma", "sigma", 9.0),
+        ("normal", "alpha", 2.0), ("normal", "theta", 1.0),
+    ])
+    def test_other_familys_parameters_keep_their_defaults(self, family, key, value):
+        with pytest.raises(ValueError, match=f"family '{family}' does not use config key '{key}'"):
+            ExperimentConfig(family=family, **{key: value})
+        # the defaults themselves, given explicitly, are accepted
+        ExperimentConfig(family=family, **{key: getattr(ExperimentConfig, key)})
 
     def test_from_json_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 """No module imports a name it never uses, every public function and
-method has a reader outside the tests (and outside its own class), and the
-package needs only numpy.
+method has a reader outside the tests (and outside its own class), every
+private module-level function and constant has a reader in the package
+(outside its own definition), and the package needs only numpy.
 
 No linter ships with the project, so this parses the package modules and
 the test files and compares the names each one imports with the names it
@@ -124,6 +125,55 @@ def test_public_functions_have_callers_outside_tests():
     unread = unread_defs(package, others)
     assert sorted(set(unread) - set(ORACLES)) == []
     assert sorted(set(ORACLES) - set(unread)) == []  # no entry outlives its need
+
+
+def private_defs(tree: ast.Module):
+    """(name, node) of each private module-level function and constant;
+    dunders such as a module's __getattr__ are read by Python itself."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def unread_privates(package: list[str]) -> list[str]:
+    """Private module-level functions and constants of the package sources
+    that no package source reads outside their own definition, so a
+    recursive call does not count. Reads are matched by name alone, as in
+    `unread_defs`."""
+    trees = [ast.parse(source) for source in package]
+    total = sum((reads(t) for t in trees), Counter())
+    return [
+        name
+        for tree in trees
+        for name, node in private_defs(tree)
+        if total[name] == reads(node)[name]
+    ]
+
+
+def test_private_scan_flags_only_unread_privates():
+    src = (
+        "_A = 1\n_B: int = 2\n__all__ = []\n"
+        "def _f():\n    return _f() + _A\n"
+        "def _g(): pass\n"
+        "def __getattr__(name): pass\n"
+        "def h():\n    return _g\n"
+    )
+    # _B and _f are read nowhere but in their own definition
+    assert unread_privates([src]) == ["_B", "_f"]
+    assert unread_privates([src, "print(_f, _B)"]) == []
+
+
+def test_private_names_have_readers_in_the_package():
+    package = [p.read_text() for p in sorted((ROOT / "src" / "parkde").glob("*.py"))]
+    assert unread_privates(package) == []
 
 
 def test_package_imports_no_scipy():
