@@ -12,9 +12,9 @@ p = c prod_m p_m it is sum_ij h_i^2 h_j^2 beta_ij + sum_i nu_i / h_i, where
 
 and I_i = int c q_i (Wand & Jones 1995, section 3.6). So beta is a Gram
 matrix, symmetric and positive semidefinite, and both need only the rows
-c L_i = L_i / lambda, never c or c^2. `_coefficients` alone forms beta and
-nu, over the distinct subset densities with their multiplicities, so a
-symmetric model's M identical densities cost one row; `amise_bar` of
+c L_i = L_i / lambda, never c or c^2. `_integrals` alone forms their
+integrals, over the distinct subset densities with their multiplicities, so
+a symmetric model's M identical densities cost one row; `amise_bar` of
 density callables is `amise_hat` of their coefficients. K is the Gaussian
 kernel, the only one whose estimates have the curvatures p''.
 
