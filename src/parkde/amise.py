@@ -112,8 +112,10 @@ def amise_bar(source, N: Sequence[int], h: Sequence[float], grid: Grid) -> float
     h = np.asarray(h, dtype=float)
     if N.shape != (source.M,) or h.shape != N.shape:
         raise ValueError(f"need {source.M} sample sizes and bandwidths, got {N} and {h}")
-    if not (h > 0).all():
-        raise ValueError(f"bandwidths must be positive and finite, got {h}")
+    # both positive before the division, so a zero N does not divide
+    if not (np.minimum(N, h) > 0).all():
+        name, v = ("bandwidths", h) if not (h > 0).all() else ("sample sizes", N)
+        raise ValueError(f"{name} must be positive and finite, got {v}")
     # d > 0 and h > 0, so positive terms with a finite sum mean that N and h
     # are positive and finite; a sum that overflows for good N and h is inf
     terms = d / N / h
@@ -154,8 +156,11 @@ def _coefficients(source, N, grid: Grid) -> AmiseCoefficients:
     Each callable or KDE is one subset density, put on the grid on every
     call; nu is its integral divided by N.
     """
+    N = np.asarray(N, dtype=float)
+    if not (np.isfinite(N).all() and (N > 0).all()):
+        raise ValueError(f"sample sizes must be positive and finite, got {N}")
     dens, beta = _integrals(source, 1, grid)
-    nu = dens / np.asarray(N, dtype=float)
+    nu = dens / N
     return AmiseCoefficients(beta, nu, len(nu))
 
 

@@ -11,10 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import Kernel
+from .kernels import _SQRT_2PI, Kernel
 from .quadrature import Grid, simpson_weights
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 DEGENERATE_LAMBDA = 1e-300
 

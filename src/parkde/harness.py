@@ -33,10 +33,45 @@ def _pool_class():
     """The process pool class, imported on first use: only a multi-worker
     `_ise_columns` starts a pool, and `multiprocessing` would add to every
     other command's start-up. A class set as this module's
-    `ProcessPoolExecutor` (to count pool starts) takes its place."""
+    `ProcessPoolExecutor` (to count pool starts) takes its place, and is
+    part of the key under which `_pool` keeps its executor, so a new class
+    starts a new pool."""
     from concurrent.futures import ProcessPoolExecutor
 
     return globals().setdefault("ProcessPoolExecutor", ProcessPoolExecutor)
+
+
+# pid -> ((pool class, workers), executor): each process's one pool
+_pools = {}
+
+
+def _pool(workers: int):
+    """This process's executor of `workers` workers, started on first use
+    and kept for later calls.
+
+    An executor lives under the key (pid, pool class, workers). A call with
+    another class or worker count shuts the old executor down (waiting for
+    its workers) before the new one starts. A forked child's pid differs
+    from its parent's, so it starts its own executor and neither uses nor
+    shuts down the parent's, which stays referenced under the parent's pid.
+    At interpreter exit `concurrent.futures`' own exit hook joins the
+    workers, so none outlives this process.
+    """
+    pid, key = os.getpid(), (_pool_class(), workers)
+    held = _pools.get(pid)
+    if held is not None and held[0] != key:
+        _drop_pool()
+        held = None
+    if held is None:
+        held = _pools[pid] = (key, key[0](max_workers=workers))
+    return held[1]
+
+
+def _drop_pool() -> None:
+    """Shut down and forget this process's executor, if it has one."""
+    held = _pools.pop(os.getpid(), None)
+    if held is not None:
+        held[1].shutdown(wait=True)
 
 
 def __getattr__(name):
@@ -89,6 +124,8 @@ class ExperimentConfig:
             raise ValueError("outer_repeats must be >= 1")
         if not self.n_per_subset:
             raise ValueError("n_per_subset needs at least one sample size")
+        if min(self.n_per_subset) < 1:
+            raise ValueError(f"n_per_subset entries must be >= 1, got {self.n_per_subset}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not (0 < self.sweep_lo < self.sweep_hi < math.inf):
@@ -207,11 +244,16 @@ def _ise_columns(
     """Per (model, n, h_rows, outer) batch and per h row, the ISEs of every
     replication in replication order.
 
-    Every replication job of every batch goes through one map: one process
-    pool of at most one worker per job, or this process for one worker. Jobs
-    are dispatched heaviest first (most h rows; a stable sort), so no worker
-    is left with a long job at the end; results come back in job order.
-    The seed and every bandwidth are checked once, before any job runs.
+    Every replication job of every batch goes through one map: on this
+    process's pool of min(workers, jobs) workers (`_pool`), or in this
+    process for one worker. The pool is started by the first multi-worker
+    call and kept for the process's lifetime, so later calls with the same
+    worker count reuse its warm workers. If a worker dies, the pool is
+    dropped before `BrokenProcessPool` is re-raised, and the next call
+    starts a fresh one. Jobs are dispatched heaviest first (most h rows; a
+    stable sort), so no worker is left with a long job at the end; results
+    come back in job order. The seed and every bandwidth are checked once,
+    before any job runs.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications for a standard error")
@@ -228,9 +270,14 @@ def _ise_columns(
     heaviest_first = [jobs[i] for i in order]
     workers = min(workers, len(jobs))
     if workers > 1:
+        from concurrent.futures.process import BrokenProcessPool
+
         chunksize = max(1, len(jobs) // (4 * workers))
-        with _pool_class()(max_workers=workers) as pool:
-            done = list(pool.map(_replication, heaviest_first, chunksize=chunksize))
+        try:
+            done = list(_pool(workers).map(_replication, heaviest_first, chunksize=chunksize))
+        except BrokenProcessPool:
+            _drop_pool()  # a worker died: the next call starts a fresh pool
+            raise
     else:
         done = [_replication(job) for job in heaviest_first]
     results = [None] * len(jobs)

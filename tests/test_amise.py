@@ -379,6 +379,7 @@ def test_a_models_entry_is_two_floats():
     ids=["short", "zero", "negative", "two-dimensional", "not a number", "zero of four",
          "infinite", "nan"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_bad_sample_size_raises_on_every_call(N):
     model, grid = _model_and_grid("normal", 4)
     # the model's entry is cached by a good call; a bad N adds nothing to it
@@ -392,6 +393,9 @@ def test_a_bad_sample_size_raises_on_every_call(N):
     assert "500" in message or "many" in message
     info = amise._model_integrals.cache_info()
     assert (info.currsize, info.misses) == (1, 1)
+    # the callables' coefficient builder rejects it too, without a warning
+    with pytest.raises(ValueError):
+        _coefficients([model.subset] * 4, N, grid)
 
 
 def test_empirical_coefficients_match_plugin_error_functional():

@@ -2,7 +2,9 @@
 
 import importlib.util
 import json
+import os
 import re
+import signal
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,59 @@ def test_incorrect_run_exits_nonzero_and_is_kept(tmp_path, monkeypatch, capsys, 
     assert code == (1 if fault else 0)
     assert ("seed 12 after" in err) == bool(fault)
     assert [p["seed"] for p in json.loads(out.read_text())["workloads"]["w"]["pairs"]] == [11, 12, 13]
+
+
+FAKE_RUN = """\
+import json, os, subprocess, sys
+
+checkout = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if os.path.basename(checkout) == "leaky":
+    # a grandchild that names the checkout and outlives this run, holding
+    # this run's output open
+    sleeper = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)", checkout])
+    with open(os.path.join(checkout, "sleeper.pid"), "a") as fh:
+        fh.write(f"{sleeper.pid}\\n")
+print(json.dumps({"metrics": {k: {"value": 1.0} for k in ("setup_s", "ops_per_s", "peak_rss_mb")},
+                  "correct": True, "attempted": 1, "failed": 0}))
+"""
+
+
+def fake_checkout(root: Path) -> Path:
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(FAKE_RUN)
+    return root
+
+
+def alive(pid: int) -> bool:
+    """A zombie, or a process that is gone, has no command line."""
+    try:
+        return bool(Path(f"/proc/{pid}/cmdline").read_bytes())
+    except FileNotFoundError:
+        return False
+
+
+def test_a_process_left_running_is_killed_recorded_and_fails_the_script(tmp_path, capsys):
+    before, after = fake_checkout(tmp_path / "clean"), fake_checkout(tmp_path / "leaky")
+    out = tmp_path / "bench.json"
+    try:
+        code = load_tool().main([
+            "--before", str(before), "--after", str(after), "--before-sha", "a",
+            "--after-sha", "b", "--workload", "w", "--seeds", "1", "2", "--out", str(out),
+        ])
+    finally:
+        pids = [int(line) for line in (after / "sleeper.pid").read_text().split()]
+        still = [pid for pid in pids if alive(pid)]
+        for pid in still:
+            os.kill(pid, signal.SIGKILL)
+    assert code == 1
+    assert len(pids) == 2 and still == []
+    pairs = json.loads(out.read_text())["workloads"]["w"]["pairs"]
+    for pair in pairs:
+        assert pair["before"]["left_running"] == []
+        (left,) = pair["after"]["left_running"]
+        assert "time.sleep(60)" in left and left.endswith(str(after))
+    err = capsys.readouterr().err
+    assert "seed 1 after" in err and "seed 2 after" in err and " before:" not in err
 
 
 def summary_of(tmp_path, monkeypatch, before, after):

@@ -472,7 +472,8 @@ class TestExperimentAndReport:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, code, message", [
-        (["--family", "normal", "--n", "0"], EXIT_CONFIG, "n and M must be >= 1"),
+        (["--family", "normal", "--n", "0"], EXIT_CONFIG,
+         "n_per_subset entries must be >= 1, got [0]"),
         (["--family", "gamma", "--alpha", "1.2", "--n", "100"], EXIT_NUMERICAL,
          "gamma closed form needs alpha > 1 + 3/(2M)"),
         (["--family", "gamma", "--mu", "5", "--sigma", "9", "--n", "100"], EXIT_CONFIG,

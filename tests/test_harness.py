@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
 
+import parkde.harness as harness
 from parkde.estimators import AnalyticModel, _kernel_table, _product, kde_rows
 from parkde.harness import (
     DegenerateMajority,
@@ -32,6 +36,15 @@ def cold_replication_caches():
     _kernel_table.cache_clear()
     _truth.cache_clear()
     simpson_weights.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def no_kept_pool():
+    """Every test starts and ends without the harness's kept executor, so a
+    pool class that a test sets never serves another test."""
+    harness._drop_pool()
+    yield
+    harness._drop_pool()
 
 
 class TestSampleModel:
@@ -278,6 +291,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(n_per_subset=[])
 
+    @pytest.mark.parametrize("ns", [[0], [250, 0], [100, -5, 200]])
+    def test_sample_sizes_below_one_rejected(self, ns):
+        with pytest.raises(ValueError, match=r"n_per_subset entries must be >= 1, got \["):
+            ExperimentConfig(n_per_subset=ns)
+
     def test_one_replication_rejected(self):
         # _ise_columns needs two for a standard error; fail before any output
         with pytest.raises(ValueError, match="replications must be >= 2"):
@@ -387,8 +405,6 @@ class TestRunExperiment:
 
     def test_partial_outputs_removed_on_failure(self, tmp_path, monkeypatch):
         cfg = self.small_cfg(tmp_path)
-        import parkde.harness as harness
-
         out = tmp_path / "out"
         written_before_failure = []
 
@@ -404,9 +420,7 @@ class TestRunExperiment:
         assert not (out / "ratio.csv").exists()
         assert not (out / "manifest.json").exists()
 
-    def test_one_executor_per_experiment(self, tmp_path, monkeypatch):
-        import parkde.harness as harness
-
+    def test_two_experiments_start_one_pool(self, tmp_path, monkeypatch):
         starts = []
 
         class CountingPool(harness.ProcessPoolExecutor):
@@ -416,7 +430,24 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
         run_experiment(self.small_cfg(tmp_path, workers=2))
+        run_experiment(self.small_cfg(tmp_path, workers=2, seed=18))
         assert starts == [2]
+
+    def test_repeated_pooled_experiments_equal_one_worker(self, tmp_path):
+        def outputs(workers, seed, out):
+            paths = run_experiment(self.small_cfg(
+                tmp_path, workers=workers, seed=seed, output_dir=str(tmp_path / out)))
+            with open(paths["manifest"]) as fh:
+                degenerate = json.load(fh)["degenerate"]
+            csvs = []
+            for k in ("mise_vs_n", "ratio"):
+                with open(paths[k], "rb") as fh:
+                    csvs.append(fh.read())
+            return csvs, degenerate
+
+        # three experiments in one process on one kept pool, against one worker
+        for seed in (17, 18, 17):
+            assert outputs(2, seed, f"pooled{seed}") == outputs(1, seed, f"serial{seed}")
 
     @pytest.mark.parametrize("family", ["normal", "gamma"])
     def test_csvs_equal_one_call_at_a_time(self, tmp_path, family):
@@ -446,8 +477,6 @@ class TestRunExperiment:
             assert row["ratio"] == repr(float(np.median(ratios)))
 
     def test_manifest_lists_degenerate_replications(self, tmp_path, monkeypatch):
-        import parkde.harness as harness
-
         real = harness._replication
         chosen = {(0, 3), (0, 7), (2, 5)}  # (outer, rep)
 
@@ -497,27 +526,78 @@ class TestRunExperiment:
             self.small_cfg(tmp_path, workers=0)
 
 
+class SerialPool:
+    """A pool that runs its jobs in this process and records its events."""
+
+    events = []
+
+    def __init__(self, max_workers):
+        self.events.append(("start", type(self).__name__, max_workers))
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+    def shutdown(self, wait=True):
+        self.events.append(("shutdown", type(self).__name__, wait))
+
+
 def test_pool_never_outnumbers_jobs(monkeypatch):
-    import parkde.harness as harness
-
-    seen = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
-
+    monkeypatch.setattr(SerialPool, "events", [])
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
     g = Grid(-4, 4, 101)
     serial = estimate_mise(NORMAL4, 50, 0.5, replications=3, seed=1, grid=g)
     pooled = estimate_mise(NORMAL4, 50, 0.5, replications=3, seed=1, grid=g, workers=8)
-    assert seen == [3]
+    assert SerialPool.events == [("start", "SerialPool", 3)]
     assert pooled == serial
+
+
+def test_a_new_key_or_pid_starts_its_own_pool(monkeypatch):
+    class OtherPool(SerialPool):
+        pass
+
+    events = []
+    monkeypatch.setattr(SerialPool, "events", events)
+    g = Grid(-4, 4, 101)
+
+    def call(workers=2):
+        return estimate_mise(NORMAL4, 50, 0.5, replications=3, seed=1, grid=g, workers=workers)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    want = call(1)
+    assert call() == call() == want
+    assert events == [("start", "SerialPool", 2)]
+    # another worker count or class: the old pool is shut down, waiting for
+    # its workers, before the new one starts
+    assert call(3) == want
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", OtherPool)
+    assert call(3) == want
+    assert events[1:] == [("shutdown", "SerialPool", True), ("start", "SerialPool", 3),
+                          ("shutdown", "SerialPool", True), ("start", "OtherPool", 3)]
+    # a forked child (another pid) starts its own pool and neither reuses
+    # nor shuts down its parent's, which the parent then reuses
+    parent = os.getpid()
+    del events[:]
+    monkeypatch.setattr(harness.os, "getpid", lambda: parent + 1)
+    assert call(3) == want
+    monkeypatch.setattr(harness.os, "getpid", lambda: parent)
+    assert call(3) == want
+    assert events == [("start", "OtherPool", 3)]
+    assert sorted(harness._pools) == [parent, parent + 1]
+    del harness._pools[parent + 1]
+
+
+def test_a_killed_worker_breaks_one_call_and_the_next_starts_afresh():
+    from concurrent.futures.process import BrokenProcessPool
+
+    g = Grid(-4, 4, 101)
+    args = (NORMAL4, 50, [0.3, 0.4, 0.5, 0.6, 0.7], 6, 1, g)
+    want = sweep_bandwidth(*args)
+    assert sweep_bandwidth(*args, workers=2) == want
+    workers = multiprocessing.active_children()
+    assert len(workers) == 2
+    os.kill(workers[0].pid, signal.SIGKILL)
+    with pytest.raises(BrokenProcessPool):
+        sweep_bandwidth(*args, workers=2)
+    assert harness._pools == {}
+    assert sweep_bandwidth(*args, workers=2) == want
+    assert workers[0] not in multiprocessing.active_children()

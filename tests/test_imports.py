@@ -1,7 +1,8 @@
 """No module imports a name it never uses, every public function and
 method has a reader outside the tests (and outside its own class), every
 private module-level function and constant has a reader in the package
-(outside its own definition), and the package needs only numpy.
+(outside its own definition) and is defined in one module only, and the
+package needs only numpy.
 
 No linter ships with the project, so this parses the package modules and
 the test files and compares the names each one imports with the names it
@@ -174,6 +175,31 @@ def test_private_scan_flags_only_unread_privates():
 def test_private_names_have_readers_in_the_package():
     package = [p.read_text() for p in sorted((ROOT / "src" / "parkde").glob("*.py"))]
     assert unread_privates(package) == []
+
+
+def privates_bound_twice(modules: dict[str, str]) -> dict[str, list[str]]:
+    """Each private module-level function or constant that more than one of
+    the modules (name -> source) defines, with those modules; importing a
+    name does not define it. Readers are matched by name, so a second copy
+    could go dead unnoticed while the other is read."""
+    where = {}
+    for module, source in modules.items():
+        for name in dict.fromkeys(name for name, _ in private_defs(ast.parse(source))):
+            where.setdefault(name, []).append(module)
+    return {name: modules for name, modules in where.items() if len(modules) > 1}
+
+
+def test_binding_scan_flags_only_names_defined_twice():
+    a = "_C = 1\n_D: int = 2\ndef _f(): pass\n__all__ = []\n"
+    b = "from a import _D\n_C = 1.0\ndef _f(): pass\n__all__ = []\n_C = 2.0\n"
+    # b imports _D and reads it; it defines _C (twice) and _f as a does
+    assert privates_bound_twice({"a": a, "b": b}) == {"_C": ["a", "b"], "_f": ["a", "b"]}
+    assert privates_bound_twice({"a": a}) == {}
+
+
+def test_private_names_are_bound_in_one_module():
+    modules = {p.name: p.read_text() for p in sorted((ROOT / "src" / "parkde").glob("*.py"))}
+    assert privates_bound_twice(modules) == {}
 
 
 def test_package_imports_no_scipy():

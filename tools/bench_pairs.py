@@ -45,8 +45,12 @@ files resampled independently. The generator has a fixed seed, so the
 same files print the same intervals.
 
 The script exits 1, naming the workload, seed and side, when a run reports
-`correct: false` or failed operations; every workload still runs and the
-file is written first, so those runs are kept.
+`correct: false` or failed operations, or leaves a process running; every
+workload still runs and the file is written first, so those runs are kept.
+After each run, every live process other than this one and its ancestors
+whose command line names the run's checkout (an argument that is the
+checkout's absolute path or lies under it) is killed, and its command line
+is recorded in the run's `left_running` list.
 """
 
 from __future__ import annotations
@@ -56,9 +60,11 @@ import json
 import math
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
@@ -73,13 +79,51 @@ INTERVAL = (5.0, 95.0)  # percentiles of those medians: a 90% interval
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run. Its output goes to files, not pipes, so a process
+    it leaves running with them open cannot stall the read."""
+    checkout = os.path.abspath(checkout)
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    done = subprocess.run(cmd, capture_output=True, text=True, check=True)
-    last = json.loads(done.stdout.strip().splitlines()[-1])
+    with tempfile.TemporaryFile("w+") as stdout, tempfile.TemporaryFile("w+") as stderr:
+        code = subprocess.run(cmd, stdout=stdout, stderr=stderr).returncode
+        left = kill_left_running(checkout)
+        stdout.seek(0)
+        stderr.seek(0)
+        if code:
+            raise subprocess.CalledProcessError(code, cmd, stdout.read(), stderr.read())
+        last = json.loads(stdout.read().strip().splitlines()[-1])
     out = {k: last["metrics"][k]["value"] for k in METRICS}
-    out.update(correct=last["correct"], attempted=last["attempted"], failed=last["failed"])
+    out.update(correct=last["correct"], attempted=last["attempted"], failed=last["failed"],
+               left_running=left)
     return out
+
+
+def _parent(pid: int) -> int:
+    with open(f"/proc/{pid}/stat") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[1])
+
+
+def kill_left_running(checkout: str) -> list[str]:
+    """Kill each live process, other than this one and its ancestors, with an
+    argument that is the absolute path checkout or a path under it, and
+    return their command lines. A zombie has no command line."""
+    spared, pid = set(), os.getpid()
+    while pid > 0:
+        spared.add(pid)
+        pid = _parent(pid)
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit() or int(entry) in spared:
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                args = fh.read().decode(errors="replace").split("\0")
+            if any(a == checkout or a.startswith(checkout + os.sep) for a in args):
+                os.kill(int(entry), signal.SIGKILL)
+                found.append(" ".join(args).strip())
+        except (FileNotFoundError, ProcessLookupError):
+            continue  # it ended meanwhile
+    return found
 
 
 def compiles_from_source(checkout: str) -> bool:
@@ -200,9 +244,11 @@ def main(argv=None) -> int:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
         bad += [f"{workload} seed {p['seed']} {side}: "
-                f"correct={p[side]['correct']}, failed={p[side]['failed']}"
+                f"correct={p[side]['correct']}, failed={p[side]['failed']}, "
+                f"left_running={p[side].get('left_running', [])}"
                 for p in pairs for side in ("before", "after")
-                if not p[side]["correct"] or p[side]["failed"] > 0]
+                if not p[side]["correct"] or p[side]["failed"] > 0
+                or p[side].get("left_running")]
     for line in bad:
         print(f"incorrect run, {line}", file=sys.stderr)
     return 1 if bad else 0
