@@ -30,6 +30,7 @@ on the grid on every call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -116,13 +117,12 @@ def amise_bar(source, N: Sequence[int], h: Sequence[float], grid: Grid) -> float
     if not (np.minimum(N, h) > 0).all():
         name, v = ("bandwidths", h) if not (h > 0).all() else ("sample sizes", N)
         raise ValueError(f"{name} must be positive and finite, got {v}")
-    # d > 0 and h > 0, so positive terms with a finite sum mean that N and h
-    # are positive and finite; a sum that overflows for good N and h is inf
-    terms = d / N / h
-    variance = np.add.reduce(terms)
-    if not ((terms > 0).all() and np.isfinite(variance)):
+    variance = np.add.reduce(d / N / h)
+    # positive terms: N @ h is finite when N and h are, and a variance that
+    # overflows for good N and h is returned as inf
+    if not math.isfinite(variance + N @ h):
         for name, v in (("sample sizes", N), ("bandwidths", h)):
-            if not (np.isfinite(v).all() and (v > 0).all()):
+            if not np.isfinite(v).all():
                 raise ValueError(f"{name} must be positive and finite, got {v}")
     s = h @ h
     return float(b * s * s + variance)

@@ -55,7 +55,8 @@ def _pool(workers: int):
     from its parent's, so it starts its own executor and neither uses nor
     shuts down the parent's, which stays referenced under the parent's pid.
     At interpreter exit `concurrent.futures`' own exit hook joins the
-    workers, so none outlives this process.
+    workers, so none outlives this process. The harness maps from one
+    thread at a time; `_pools` takes no lock.
     """
     pid, key = os.getpid(), (_pool_class(), workers)
     held = _pools.get(pid)
