@@ -249,12 +249,13 @@ def _ise_columns(
     process's pool of min(workers, jobs) workers (`_pool`), or in this
     process for one worker. The pool is started by the first multi-worker
     call and kept for the process's lifetime, so later calls with the same
-    worker count reuse its warm workers. If a worker dies, the pool is
-    dropped before `BrokenProcessPool` is re-raised, and the next call
-    starts a fresh one. Jobs are dispatched heaviest first (most h rows; a
-    stable sort), so no worker is left with a long job at the end; results
-    come back in job order. The seed and every bandwidth are checked once,
-    before any job runs.
+    worker count reuse its warm workers; a process that makes one pooled
+    call starts and joins one pool, as it would with a pool per call. If a
+    worker dies, the pool is dropped before `BrokenProcessPool` is
+    re-raised, and the next call starts a fresh one. Jobs are dispatched
+    heaviest first (most h rows; a stable sort), so no worker is left with
+    a long job at the end; results come back in job order. The seed and
+    every bandwidth are checked once, before any job runs.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications for a standard error")

@@ -5,6 +5,8 @@ import json
 import os
 import re
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,9 +49,10 @@ import json, os, subprocess, sys
 
 checkout = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.basename(checkout) == "leaky":
-    # a grandchild that names the checkout and outlives this run, holding
+    # a grandchild in a session of its own that outlives this run, holding
     # this run's output open
-    sleeper = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)", checkout])
+    sleeper = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"],
+                               start_new_session=True)
     with open(os.path.join(checkout, "sleeper.pid"), "a") as fh:
         fh.write(f"{sleeper.pid}\\n")
 print(json.dumps({"metrics": {k: {"value": 1.0} for k in ("setup_s", "ops_per_s", "peak_rss_mb")},
@@ -74,6 +77,9 @@ def alive(pid: int) -> bool:
 def test_a_process_left_running_is_killed_recorded_and_fails_the_script(tmp_path, capsys):
     before, after = fake_checkout(tmp_path / "clean"), fake_checkout(tmp_path / "leaky")
     out = tmp_path / "bench.json"
+    # a process no run started, though its command line names the checkout
+    bystander = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)",
+                                  str(after / "perfbench" / "run.py")])
     try:
         code = load_tool().main([
             "--before", str(before), "--after", str(after), "--before-sha", "a",
@@ -84,13 +90,16 @@ def test_a_process_left_running_is_killed_recorded_and_fails_the_script(tmp_path
         still = [pid for pid in pids if alive(pid)]
         for pid in still:
             os.kill(pid, signal.SIGKILL)
+        spared = bystander.poll() is None
+        bystander.kill()
+        bystander.wait()
     assert code == 1
-    assert len(pids) == 2 and still == []
+    assert len(pids) == 2 and still == [] and spared
     pairs = json.loads(out.read_text())["workloads"]["w"]["pairs"]
     for pair in pairs:
         assert pair["before"]["left_running"] == []
         (left,) = pair["after"]["left_running"]
-        assert "time.sleep(60)" in left and left.endswith(str(after))
+        assert left.endswith("import time; time.sleep(60)")
     err = capsys.readouterr().err
     assert "seed 1 after" in err and "seed 2 after" in err and " before:" not in err
 

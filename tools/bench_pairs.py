@@ -47,10 +47,11 @@ same files print the same intervals.
 The script exits 1, naming the workload, seed and side, when a run reports
 `correct: false` or failed operations, or leaves a process running; every
 workload still runs and the file is written first, so those runs are kept.
-After each run, every live process other than this one and its ancestors
-whose command line names the run's checkout (an argument that is the
-checkout's absolute path or lies under it) is killed, and its command line
-is recorded in the run's `left_running` list.
+Each run gets a fresh random token in its environment (RUN_TOKEN), which
+every process it starts inherits, whatever session or parent that process
+ends up with, unless it clears its environment. After the run, each live process whose environment holds that
+token is killed, and its command line is recorded in the run's
+`left_running` list; no other process is touched.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ import json
 import math
 import os
 import platform
+import secrets
 import signal
 import statistics
 import subprocess
@@ -76,6 +78,7 @@ with open(BENCHMARK) as _fh:
 GAIN_SHARE = 0.9  # share of pairs the after side must win to show a gain
 RESAMPLES = 2000  # resampled medians behind each interval --read prints
 INTERVAL = (5.0, 95.0)  # percentiles of those medians: a 90% interval
+RUN_TOKEN = "BENCH_PAIRS_RUN"  # environment variable that marks one run's processes
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -84,9 +87,11 @@ def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     checkout = os.path.abspath(checkout)
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    token = secrets.token_hex(16)
+    env = {**os.environ, RUN_TOKEN: token}
     with tempfile.TemporaryFile("w+") as stdout, tempfile.TemporaryFile("w+") as stderr:
-        code = subprocess.run(cmd, stdout=stdout, stderr=stderr).returncode
-        left = kill_left_running(checkout)
+        code = subprocess.run(cmd, stdout=stdout, stderr=stderr, env=env).returncode
+        left = kill_left_running(token)
         stdout.seek(0)
         stderr.seek(0)
         if code:
@@ -98,31 +103,23 @@ def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return out
 
 
-def _parent(pid: int) -> int:
-    with open(f"/proc/{pid}/stat") as fh:
-        return int(fh.read().rsplit(")", 1)[1].split()[1])
-
-
-def kill_left_running(checkout: str) -> list[str]:
-    """Kill each live process, other than this one and its ancestors, with an
-    argument that is the absolute path checkout or a path under it, and
-    return their command lines. A zombie has no command line."""
-    spared, pid = set(), os.getpid()
-    while pid > 0:
-        spared.add(pid)
-        pid = _parent(pid)
+def kill_left_running(token: str) -> list[str]:
+    """Kill each live process whose environment sets RUN_TOKEN to token and
+    return their command lines. Another user's process cannot be read and
+    is skipped; a zombie has an empty environment."""
+    entry = f"{RUN_TOKEN}={token}".encode()
     found = []
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit() or int(entry) in spared:
-            continue
+    for pid in filter(str.isdigit, os.listdir("/proc")):
         try:
-            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+            with open(f"/proc/{pid}/environ", "rb") as fh:
+                if entry not in fh.read().split(b"\0"):
+                    continue
+            with open(f"/proc/{pid}/cmdline", "rb") as fh:
                 args = fh.read().decode(errors="replace").split("\0")
-            if any(a == checkout or a.startswith(checkout + os.sep) for a in args):
-                os.kill(int(entry), signal.SIGKILL)
-                found.append(" ".join(args).strip())
-        except (FileNotFoundError, ProcessLookupError):
-            continue  # it ended meanwhile
+            os.kill(int(pid), signal.SIGKILL)
+        except (FileNotFoundError, ProcessLookupError, PermissionError):
+            continue  # it ended meanwhile, or is not ours
+        found.append(" ".join(args).strip())
     return found
 
 
