@@ -144,6 +144,9 @@ _MAX_STEPS = 400
 # stop reasons of a solve that ends at a stationary point of its surrogate
 _CONVERGED = ("step<tol", "zero-gradient")
 
+# points of the grid `optimize_bandwidth` builds when given none
+OPTIMIZE_GRID_POINTS = 4001
+
 
 @dataclass
 class OptimizeResult:
@@ -264,7 +267,7 @@ def optimize_bandwidth(
     if tol is None:
         tol = 1e-4 * math.sqrt(h0.dot(h0))  # np.linalg.norm(h0)
     if grid is None:
-        grid = Grid(*data_window(subsets, h0), 4001)
+        grid = Grid(*data_window(subsets, h0), OPTIMIZE_GRID_POINTS)
 
     kernel = from_name("gaussian")
     kdes = [fit_subset_kde(s, hv, kernel) for s, hv in zip(subsets, h0)]

@@ -6,15 +6,16 @@ import argparse
 import csv
 import os
 import sys
+from typing import Sequence
 
 import numpy as np
 
-from .bandwidth import GammaDomain, normal_reference_h, optimize_bandwidth
+from .bandwidth import OPTIMIZE_GRID_POINTS, GammaDomain, normal_reference_h, optimize_bandwidth
 from .estimators import DegenerateProduct, SubsetSample, data_window, fit_subset_kde, normalize
 from .harness import (
     DegenerateMajority,
     ExperimentConfig,
-    closed_form_h,
+    _write_csv,
     run_experiment,
     sweep_bandwidth,
 )
@@ -27,43 +28,27 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 def _load_subsets(directory: str) -> list[SubsetSample]:
     """One numeric text file per subset, sorted filename order = subset order.
 
-    Values may be one per line or comma separated.
+    Values may be one per line or comma separated. A file that cannot be
+    decoded, holds a non-numeric entry or is not a valid sample is a
+    ValueError that names it.
     """
-    try:
-        names = sorted(
-            f for f in os.listdir(directory)
-            if os.path.isfile(os.path.join(directory, f))
-        )
-    except OSError as exc:
-        raise CliError(f"cannot list subset directory {directory}: {exc}", EXIT_IO)
+    names = sorted(
+        f for f in os.listdir(directory) if os.path.isfile(os.path.join(directory, f))
+    )
     if not names:
-        raise CliError(f"no subset files found in {directory}", EXIT_CONFIG)
+        raise ValueError(f"no subset files found in {directory}")
     subsets = []
     for m, name in enumerate(names):
         path = os.path.join(directory, name)
         try:
             with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}", EXIT_IO)
-        tokens = text.replace(",", " ").split()
-        try:
-            values = np.array(tokens, dtype=float)
-        except ValueError as exc:
-            raise CliError(f"non-numeric entry in {path}: {exc}", EXIT_CONFIG)
-        try:
+                values = np.array(fh.read().replace(",", " ").split(), dtype=float)
             subsets.append(SubsetSample(values, subset_index=m + 1))
         except ValueError as exc:
-            raise CliError(f"bad sample in {path}: {exc}", EXIT_CONFIG)
+            raise ValueError(f"bad subset file {path}: {exc}") from exc
     return subsets
 
 
@@ -78,10 +63,8 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.config:
         try:
             cfg = ExperimentConfig.from_json(args.config)
-        except OSError as exc:
-            raise CliError(f"cannot read config {args.config}: {exc}", EXIT_IO)
         except (ValueError, TypeError) as exc:
-            raise CliError(f"bad config {args.config}: {exc}", EXIT_CONFIG)
+            raise ValueError(f"bad config {args.config}: {exc}") from exc
     else:
         cfg = ExperimentConfig()
     # flag overrides beat config file values
@@ -91,12 +74,9 @@ def _config_from_args(args) -> ExperimentConfig:
             setattr(cfg, name, flag)
     if args.n is not None:
         cfg.n_per_subset = args.n
-    try:
-        cfg.__post_init__()
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_CONFIG)
+    cfg.__post_init__()
     if cfg.seed is None:
-        raise CliError("a seed is required: give --seed or the config's seed", EXIT_CONFIG)
+        raise ValueError("a seed is required: give --seed or the config's seed")
     return cfg
 
 
@@ -144,8 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        "step,backtracks,stop,steps,fallbacks)")
     p_opt.add_argument("--grid-lo", type=float)
     p_opt.add_argument("--grid-hi", type=float)
-    # optimize_bandwidth's own size, so the CLI and library defaults agree
-    p_opt.add_argument("--grid-points", type=int, default=4001)
+    p_opt.add_argument("--grid-points", type=int, default=OPTIMIZE_GRID_POINTS)
 
     p_sweep = sub.add_parser("mise-sweep", help="Monte Carlo MISE curve over a bandwidth range")
     _add_config_flags(p_sweep)
@@ -170,11 +149,11 @@ def _parse_bandwidths(spec: str, subsets) -> np.ndarray:
     try:
         parts = [float(t) for t in spec.split(",")]
     except ValueError:
-        raise CliError(f"bad --bandwidth value {spec!r}", EXIT_CONFIG)
+        raise ValueError(f"bad --bandwidth value {spec!r}")
     if len(parts) == 1:
         parts = parts * M
     if len(parts) != M:
-        raise CliError(f"--bandwidth needs 1 or {M} values, got {len(parts)}", EXIT_CONFIG)
+        raise ValueError(f"--bandwidth needs 1 or {M} values, got {len(parts)}")
     return np.array(parts)
 
 
@@ -186,14 +165,11 @@ def _cmd_fit(args) -> int:
     kdes = [fit_subset_kde(s, hv, kernel) for s, hv in zip(subsets, h)]
     grid = _grid_from_args(args, subsets, h)
     post = normalize(kdes, grid)
-    try:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "value"])
-            for x, v in zip(grid.points, post.values):
-                w.writerow([repr(float(x)), repr(float(v))])
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO)
+    _write_csv(
+        args.out,
+        ["x", "value"],
+        ([repr(float(x)), repr(float(v))] for x, v in zip(grid.points, post.values)),
+    )
     print(f"fitted {len(kdes)} subsets; h = {', '.join(f'{v:.6g}' for v in h)}")
     print(f"lambda_hat = {post.lambda_hat:.6g}; density written to {args.out}")
     return EXIT_OK
@@ -204,22 +180,15 @@ def _cmd_optimize(args) -> int:
     grid = _grid_from_args(args, subsets, normal_reference_h(subsets))
     res = optimize_bandwidth(subsets, grid=grid, tol=args.tol)
     if args.out:
-        try:
-            with open(args.out, "w", newline="") as fh:
-                w = csv.writer(fh)
-                M = len(subsets)
-                w.writerow(
-                    ["iter"] + [f"h_{i + 1}" for i in range(M)]
-                    + ["amise_hat", "grad_norm", "step", "backtracks", "stop", "steps",
-                       "fallbacks"]
-                )
-                for it, h, obj, gnorm, step, *counts in res.trace:
-                    w.writerow(
-                        [it] + [repr(float(v)) for v in h] + [repr(obj), repr(gnorm), repr(step)]
-                        + counts
-                    )
-        except OSError as exc:
-            raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO)
+        _write_csv(
+            args.out,
+            ["iter"] + [f"h_{i + 1}" for i in range(len(subsets))]
+            + ["amise_hat", "grad_norm", "step", "backtracks", "stop", "steps", "fallbacks"],
+            (
+                [it] + [repr(float(v)) for v in h] + [repr(obj), repr(gnorm), repr(step)] + counts
+                for it, h, obj, gnorm, step, *counts in res.trace
+            ),
+        )
     print("h = " + ", ".join(f"{v:.6g}" for v in res.h))
     print(f"converged = {res.converged}; amise_hat = {res.objective:.6g}")
     return EXIT_OK
@@ -230,25 +199,17 @@ def _cmd_mise_sweep(args) -> int:
     # a sweep has one outer repeat and writes only --out
     for key in ("outer_repeats", "output_dir"):
         if getattr(cfg, key) != getattr(ExperimentConfig, key):
-            raise CliError(f"mise-sweep does not use config key {key!r}", EXIT_CONFIG)
+            raise ValueError(f"mise-sweep does not use config key {key!r}")
     model = cfg.model()
     grid = cfg.grid()
     if len(cfg.n_per_subset) != 1:
-        raise CliError("mise-sweep wants exactly one sample size in n_per_subset", EXIT_CONFIG)
+        raise ValueError("mise-sweep wants exactly one sample size in n_per_subset")
     n = cfg.n_per_subset[0]
-    h_opt = closed_form_h(model, n)
-    hs = np.linspace(cfg.sweep_lo * h_opt, cfg.sweep_hi * h_opt, cfg.sweep_count)
+    h_opt, hs = cfg.sweep(n)
     curve = sweep_bandwidth(
         model, n, hs, cfg.replications, cfg.seed, grid, workers=cfg.workers
     )
-    try:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["h", "mise", "stderr"])
-            for h, m, se in curve.rows:
-                w.writerow([repr(h), repr(m), repr(se)])
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO)
+    _write_csv(args.out, ["h", "mise", "stderr"], ([repr(v) for v in row] for row in curve.rows))
     print(f"h_opt (closed form) = {h_opt:.6g}")
     print(f"argmin_h = {curve.argmin_h:.6g}; ratio = {h_opt / curve.argmin_h:.4f}")
     print(f"sweep written to {args.out}")
@@ -263,17 +224,24 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _read_csv(path: str) -> list[dict]:
-    try:
-        with open(path, newline="") as fh:
-            return list(csv.DictReader(fh))
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_IO)
+def _read_csv(path: str, columns: Sequence[str]) -> list[dict]:
+    """The rows of an `experiment` table; a row without one of the named
+    columns, from a header that lacks it or a short row, is a ValueError
+    that names the file and the column."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for i, row in enumerate(rows, start=1):
+        missing = [c for c in columns if row.get(c) is None]
+        if missing:
+            raise ValueError(f"{path}: data row {i} has no value for column {missing[0]!r}")
+    return rows
 
 
 def _cmd_report(args) -> int:
-    mise_rows = _read_csv(os.path.join(args.output_dir, "mise_vs_n.csv"))
-    ratio_rows = _read_csv(os.path.join(args.output_dir, "ratio.csv"))
+    mise_rows = _read_csv(os.path.join(args.output_dir, "mise_vs_n.csv"), ("policy", "n", "mise"))
+    ratio_rows = _read_csv(
+        os.path.join(args.output_dir, "ratio.csv"), ("n", "ratio", "ratio_stderr")
+    )
     by_policy: dict[str, list[tuple[int, float]]] = {}
     for r in mise_rows:
         by_policy.setdefault(r["policy"], []).append((int(r["n"]), float(r["mise"])))
@@ -316,9 +284,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (
         DegenerateProduct, DegenerateMajority, GammaDomain, ConvergenceError, ArithmeticError
     ) as exc:

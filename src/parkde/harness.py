@@ -18,7 +18,7 @@ import time
 import warnings
 from dataclasses import dataclass, field, asdict
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -159,6 +159,12 @@ class ExperimentConfig:
     def grid(self) -> Grid:
         """The grid_lo/grid_hi window, else the model's window."""
         return Grid.from_bounds(self.grid_lo, self.grid_hi, self.grid_points, self.model().window())
+
+    def sweep(self, n: int) -> tuple[float, np.ndarray]:
+        """The closed-form h_opt at n and the sweep's bandwidths: sweep_count
+        values spaced evenly from sweep_lo to sweep_hi times h_opt."""
+        h_opt = closed_form_h(self.model(), n)
+        return h_opt, np.linspace(self.sweep_lo * h_opt, self.sweep_hi * h_opt, self.sweep_count)
 
 
 def closed_form_h(model: AnalyticModel, n: int, baseline: bool = False) -> float:
@@ -409,6 +415,15 @@ def sweep_bandwidth(
 # full experiment
 
 
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header line and then each row to path: the one CSV writer of
+    the package's outputs. Callers format float cells with repr."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Reproduce the bandwidth-policy comparison and ratio experiments.
 
@@ -431,10 +446,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     batches = [(model, n, [(h,) * model.M for h in hs], 0) for n, hs in zip(ns, policy_hs)]
     sweeps = []
     for n in ns:
-        h_opt = closed_form_h(model, n)
-        h_values, h_rows = _sweep_rows(
-            model, np.linspace(cfg.sweep_lo * h_opt, cfg.sweep_hi * h_opt, cfg.sweep_count)
-        )
+        h_opt, hs = cfg.sweep(n)
+        h_values, h_rows = _sweep_rows(model, hs)
         batches += [(model, n, h_rows, 1 + r) for r in range(cfg.outer_repeats)]
         sweeps.append((n, h_opt, h_values))
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -444,54 +457,35 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     try:
         columns = _ise_columns(batches, cfg.replications, cfg.seed, grid, cfg.workers)
 
-        with open(mise_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["model", "M", "n", "policy", "h", "mise", "stderr", "degenerate_count"]
-            )
-            for n, hs, batch_columns in zip(ns, policy_hs, columns):
-                for (policy, _), h, column in zip(policies, hs, batch_columns):
-                    est = _mise_estimate(column)
-                    w.writerow(
-                        [
-                            cfg.family,
-                            cfg.M,
-                            n,
-                            policy,
-                            repr(h),
-                            repr(est.mise),
-                            repr(est.stderr),
-                            est.degenerate_count,
-                        ]
-                    )
+        mise_rows = []
+        for n, hs, batch_columns in zip(ns, policy_hs, columns):
+            for (policy, _), h, column in zip(policies, hs, batch_columns):
+                est = _mise_estimate(column)
+                mise_rows.append([cfg.family, cfg.M, n, policy, repr(h), repr(est.mise),
+                                  repr(est.stderr), est.degenerate_count])
+        _write_csv(
+            mise_path,
+            ["model", "M", "n", "policy", "h", "mise", "stderr", "degenerate_count"],
+            mise_rows,
+        )
 
         sweep_columns = iter(columns[len(ns):])
-        with open(ratio_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["model", "M", "n", "h_opt", "h_argmin", "ratio", "ratio_stderr"])
-            for n, h_opt, h_values in sweeps:
-                argmins = [
-                    _curve(h_values, next(sweep_columns)).argmin_h
-                    for _ in range(cfg.outer_repeats)
-                ]
-                ratios = np.asarray([h_opt / a for a in argmins])
-                # stderr over outer repeats is undefined for a single repeat
-                se = (
-                    float(ratios.std(ddof=1) / math.sqrt(ratios.size))
-                    if ratios.size > 1
-                    else 0.0
-                )
-                w.writerow(
-                    [
-                        cfg.family,
-                        cfg.M,
-                        n,
-                        repr(h_opt),
-                        repr(float(np.median(argmins))),
-                        repr(float(np.median(ratios))),
-                        repr(se),
-                    ]
-                )
+        ratio_rows = []
+        for n, h_opt, h_values in sweeps:
+            argmins = [
+                _curve(h_values, next(sweep_columns)).argmin_h
+                for _ in range(cfg.outer_repeats)
+            ]
+            ratios = np.asarray([h_opt / a for a in argmins])
+            # stderr over outer repeats is undefined for a single repeat
+            se = float(ratios.std(ddof=1) / math.sqrt(ratios.size)) if ratios.size > 1 else 0.0
+            ratio_rows.append([cfg.family, cfg.M, n, repr(h_opt), repr(float(np.median(argmins))),
+                               repr(float(np.median(ratios))), repr(se)])
+        _write_csv(
+            ratio_path,
+            ["model", "M", "n", "h_opt", "h_argmin", "ratio", "ratio_stderr"],
+            ratio_rows,
+        )
 
         manifest = {
             "config": asdict(cfg),

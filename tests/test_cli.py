@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +227,13 @@ class TestOptimize:
         rows = read_rows(out)
         assert len(rows) == 1 + len(res.trace)
         np.testing.assert_array_equal([float(v) for v in rows[-1][1:3]], res.h)
+
+    def test_default_grid_points_is_the_library_default(self):
+        from parkde.bandwidth import OPTIMIZE_GRID_POINTS
+        from parkde.cli import _build_parser
+
+        args = _build_parser().parse_args(["optimize", "--subsets", "d"])
+        assert args.grid_points == OPTIMIZE_GRID_POINTS
 
     def test_max_iters_flag_is_gone(self, subset_dir, capsys):
         # the surrogate is fitted once; the old fit count is an unknown flag
@@ -576,3 +587,79 @@ class TestExperimentAndReport:
 
     def test_report_missing_dir(self, tmp_path):
         assert main(["report", "--output-dir", str(tmp_path / "missing")]) == EXIT_IO
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*argv):
+    """Run the parkde command in a fresh process: (exit code, stderr)."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "parkde.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    return proc.returncode, proc.stderr
+
+
+class TestExitCodeMapping:
+    """`main` alone turns an exception into an exit code and a one-line
+    message; no failure below reaches the user as a traceback."""
+
+    @pytest.mark.parametrize("command", ["fit", "optimize", "mise-sweep", "experiment"])
+    def test_unwritable_output_is_io_error_naming_the_path(self, command, subset_dir, tmp_path):
+        out = tmp_path / "missing" / "out.csv"
+        argv = {
+            "fit": ["fit", "--subsets", str(subset_dir), "--bandwidth", "0.4",
+                    "--grid-points", "101", "--out", str(out)],
+            "optimize": ["optimize", "--subsets", str(subset_dir), "--grid-points", "101",
+                         "--out", str(out)],
+            "mise-sweep": ["mise-sweep", "--family", "normal", "-M", "2", "--n", "40",
+                           "--replications", "3", "--sweep-count", "5", "--grid-points", "101",
+                           "--seed", "1", "--out", str(out)],
+        }.get(command)
+        if argv is None:
+            # an output directory that is a regular file
+            out = tmp_path / "taken"
+            out.write_text("")
+            argv = ["experiment", "--family", "normal", "-M", "2", "--n", "40",
+                    "--replications", "3", "--outer-repeats", "1", "--sweep-count", "5",
+                    "--seed", "1", "--output-dir", str(out)]
+        code, err = run_cli(*argv)
+        assert code == EXIT_IO
+        assert err.startswith("I/O error:") and str(out) in err
+        assert "Traceback" not in err
+
+    def test_undecodable_subset_file_is_config_error_naming_the_file(self, tmp_path):
+        d = tmp_path / "bytes"
+        d.mkdir()
+        (d / "a.txt").write_bytes(b"\xff\xfe 1.0 2.0")
+        code, err = run_cli("fit", "--subsets", str(d), "--bandwidth", "0.4",
+                            "--out", str(tmp_path / "o.csv"))
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and str(d / "a.txt") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("table, text, column", [
+        ("mise_vs_n.csv", "model,M,n,h,mise,stderr,degenerate_count\n"
+                          "normal,2,60,0.3,0.01,0.001,0\n", "policy"),
+        ("mise_vs_n.csv", "model,M,n,policy,h,mise,stderr,degenerate_count\n"
+                          "normal,2,60,h_opt\n", "mise"),
+        ("ratio.csv", "model,M,n,h_opt,h_argmin,ratio\n"
+                      "normal,2,60,0.3,0.31,0.97\n", "ratio_stderr"),
+    ], ids=["header without policy", "short row", "ratio without stderr"])
+    def test_malformed_report_table_is_config_error(self, tmp_path, table, text, column):
+        good = {
+            "mise_vs_n.csv": "model,M,n,policy,h,mise,stderr,degenerate_count\n"
+                             "normal,2,60,h_opt,0.3,0.01,0.001,0\n",
+            "ratio.csv": "model,M,n,h_opt,h_argmin,ratio,ratio_stderr\n"
+                         "normal,2,60,0.3,0.31,0.97,0.01\n",
+        }
+        for name, content in {**good, table: text}.items():
+            (tmp_path / name).write_text(content)
+        code, err = run_cli("report", "--output-dir", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:")
+        assert str(tmp_path / table) in err and repr(column) in err
+        assert "Traceback" not in err

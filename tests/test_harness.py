@@ -349,6 +349,13 @@ class TestConfig:
         hi = 3.0 * 3.0 + 12.0 * math.sqrt(3.0) * 3.0
         assert ExperimentConfig(family="gamma").grid() == Grid(1e-9, hi, 801)
 
+    def test_sweep_spans_lo_to_hi_times_the_closed_form(self):
+        cfg = ExperimentConfig(sweep_lo=0.5, sweep_hi=2.0, sweep_count=7)
+        h_opt, hs = cfg.sweep(500)
+        assert h_opt == closed_form_h(cfg.model(), 500)
+        assert hs.size == 7 and hs[0] == 0.5 * h_opt and hs[-1] == 2.0 * h_opt
+        np.testing.assert_allclose(np.diff(hs), 0.25 * h_opt, rtol=1e-12)
+
 
 def test_closed_form_h_policies():
     m = AnalyticModel.normal(0.0, 1.0, 4)
