@@ -608,23 +608,21 @@ class TestExitCodeMapping:
 
     @pytest.mark.parametrize("command", ["fit", "optimize", "mise-sweep", "experiment"])
     def test_unwritable_output_is_io_error_naming_the_path(self, command, subset_dir, tmp_path):
-        out = tmp_path / "missing" / "out.csv"
-        argv = {
-            "fit": ["fit", "--subsets", str(subset_dir), "--bandwidth", "0.4",
-                    "--grid-points", "101", "--out", str(out)],
-            "optimize": ["optimize", "--subsets", str(subset_dir), "--grid-points", "101",
-                         "--out", str(out)],
-            "mise-sweep": ["mise-sweep", "--family", "normal", "-M", "2", "--n", "40",
-                           "--replications", "3", "--sweep-count", "5", "--grid-points", "101",
-                           "--seed", "1", "--out", str(out)],
-        }.get(command)
-        if argv is None:
-            # an output directory that is a regular file
-            out = tmp_path / "taken"
-            out.write_text("")
-            argv = ["experiment", "--family", "normal", "-M", "2", "--n", "40",
-                    "--replications", "3", "--outer-repeats", "1", "--sweep-count", "5",
-                    "--seed", "1", "--output-dir", str(out)]
+        missing = tmp_path / "missing" / "out.csv"
+        taken = tmp_path / "taken"  # a regular file where a directory is wanted
+        taken.write_text("")
+        argv, out = {
+            "fit": (["fit", "--subsets", str(subset_dir), "--bandwidth", "0.4",
+                     "--grid-points", "101", "--out", str(missing)], missing),
+            "optimize": (["optimize", "--subsets", str(subset_dir), "--grid-points", "101",
+                          "--out", str(missing)], missing),
+            "mise-sweep": (["mise-sweep", "--family", "normal", "-M", "2", "--n", "40",
+                            "--replications", "3", "--sweep-count", "5", "--grid-points", "101",
+                            "--seed", "1", "--out", str(missing)], missing),
+            "experiment": (["experiment", "--family", "normal", "-M", "2", "--n", "40",
+                            "--replications", "3", "--outer-repeats", "1", "--sweep-count", "5",
+                            "--seed", "1", "--output-dir", str(taken)], taken),
+        }[command]
         code, err = run_cli(*argv)
         assert code == EXIT_IO
         assert err.startswith("I/O error:") and str(out) in err
