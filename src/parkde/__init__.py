@@ -17,7 +17,6 @@ from .amise import (
     AmiseCoefficients,
     amise_bar,
     amise_hat,
-    amise_hat_grad,
     amise_product,
     bias_leading,
     empirical_coefficients,
@@ -64,7 +63,6 @@ __all__ = [
     "AmiseCoefficients",
     "amise_bar",
     "amise_hat",
-    "amise_hat_grad",
     "amise_product",
     "bias_leading",
     "empirical_coefficients",

@@ -134,19 +134,22 @@ class AmiseCoefficients:
 
     beta: np.ndarray  # (M, M); symmetric when built by `_coefficients`
     nu: np.ndarray  # (M,), positive
-    M: int
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float)
         nu = np.asarray(self.nu, dtype=float)
-        if beta.shape != (self.M, self.M) or nu.shape != (self.M,):
-            raise ValueError("coefficient shapes do not match M")
+        if nu.ndim != 1 or beta.shape != (nu.size, nu.size):
+            raise ValueError(f"beta must be M x M for the M = {nu.size} entries of nu")
         if not (np.isfinite(beta).all() and np.isfinite(nu).all()):
             raise ValueError("coefficients must be finite")
         if (nu <= 0).any():
             raise ValueError("nu entries must be positive")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "nu", nu)
+
+    @property
+    def M(self) -> int:
+        return self.nu.size
 
 
 def _coefficients(source, N, grid: Grid) -> AmiseCoefficients:
@@ -160,8 +163,7 @@ def _coefficients(source, N, grid: Grid) -> AmiseCoefficients:
     if not (np.isfinite(N).all() and (N > 0).all()):
         raise ValueError(f"sample sizes must be positive and finite, got {N}")
     dens, beta = _integrals(source, 1, grid)
-    nu = dens / N
-    return AmiseCoefficients(beta, nu, len(nu))
+    return AmiseCoefficients(beta, dens / N)
 
 
 def _integrals(source, k: int, grid: Grid):
@@ -242,12 +244,19 @@ def _surrogate(beta: np.ndarray, nu: np.ndarray, h: np.ndarray) -> float:
     return float(h2 @ beta @ h2 + np.add.reduce(nu / h))
 
 
+def _log_h_derivatives(beta: np.ndarray, nu: np.ndarray, h: np.ndarray):
+    """The surrogate's one gradient g and Hessian H in u = log h, for an h
+    already checked: with a = h^2 and S = beta + beta^T, g = 2 a (S a) - nu/h
+    and H = 4 (a a^T) S + diag(4 a (S a) + nu/h). The gradient in h is g / h."""
+    sym = beta + beta.T
+    a = h * h
+    a_sa = a * (sym @ a)
+    nu_h = nu / h
+    hess = np.multiply.outer(4.0 * a, a) * sym
+    hess.flat[:: h.size + 1] += 4.0 * a_sa + nu_h
+    return 2.0 * a_sa - nu_h, hess
+
+
 def amise_hat(coeffs: AmiseCoefficients, h) -> float:
     """Surrogate objective sum_ij h_i^2 h_j^2 beta_ij + sum_i nu_i / h_i."""
     return _surrogate(coeffs.beta, coeffs.nu, _check_h(coeffs, h))
-
-
-def amise_hat_grad(coeffs: AmiseCoefficients, h) -> np.ndarray:
-    h = _check_h(coeffs, h)
-    h2 = h * h
-    return 2.0 * h * ((coeffs.beta + coeffs.beta.T) @ h2) - coeffs.nu / h2

@@ -8,7 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .amise import AmiseCoefficients, _check_h, _coefficients, _model_integrals, _surrogate
+from .amise import (AmiseCoefficients, _check_h, _coefficients, _log_h_derivatives,
+                    _model_integrals, _surrogate)
 from .estimators import AnalyticModel, SubsetSample, data_window, fit_subset_kde
 from .kernels import from_name
 from .quadrature import Grid
@@ -123,13 +124,17 @@ def h_opt_gamma(n: int, M: int, alpha: float, theta: float) -> float:
 
 def normal_reference_h(subsets: Sequence[SubsetSample]) -> np.ndarray:
     """Normal-case closed form per subset, the pooled sample standard
-    deviation standing in for sigma.
+    deviation standing in for sigma; a pooled sample of equal values, whose
+    deviation is zero, is a ValueError.
 
     The optimizer's start and `parkde fit --bandwidth auto`.
     """
     pooled = np.concatenate([s.values for s in subsets])
     sigma_hat = 1.0
     if pooled.size > 1:
+        if pooled.min() == pooled.max():
+            raise ValueError(f"the pooled sample of {pooled.size} values has zero standard "
+                             f"deviation: every value is {float(pooled[0])!r}")
         # np.std(pooled, ddof=1)'s arithmetic without its wrapper layers,
         # which cost more than the sums on a plug-in problem
         dev = pooled - pooled.sum() / pooled.size
@@ -180,35 +185,29 @@ def _newton(
 ):
     """Newton steps on the surrogate in u = log h, monotone by backtracking.
 
-    With a = h^2 and S = beta + beta^T, the gradient in u is 2 a (S a) - nu/h
-    and the Hessian 4 (a a^T) S + diag(4 a (S a) + nu/h). Where Cholesky
-    finds the Hessian not positive definite (beta may have negative
-    off-diagonal entries) the gradient direction stands in. Each direction
-    is scaled to at most 1 in every log h, so a trial point moves no h by
-    more than a factor e, and halved until the Armijo test holds (Nocedal &
-    Wright 2006, ch. 3). Every iterate is positive, so h is checked once.
-    Returns the last iterate, its surrogate value and the record (grad_norm,
-    step, backtracks, stop, steps, fallbacks) described on `OptimizeResult`.
+    Each step takes the gradient and Hessian in u from `_log_h_derivatives`;
+    trial points form values only (`_surrogate`). Where Cholesky finds the
+    Hessian not positive definite (beta may have negative off-diagonal
+    entries) the gradient direction stands in. Each direction is scaled to
+    at most 1 in every log h, so a trial point moves no h by more than a
+    factor e, and halved until the Armijo test holds (Nocedal & Wright 2006,
+    ch. 3). Every iterate is positive, so h is checked once. Returns the
+    last iterate, its surrogate value and the record (grad_norm, step,
+    backtracks, stop, steps, fallbacks) described on `OptimizeResult`.
     """
     h = _check_h(coeffs, h).copy()
     beta, nu = coeffs.beta, coeffs.nu
-    sym = beta + beta.T
     f = _surrogate(beta, nu, h)
     gnorm, step, backtracks, stop = math.nan, 0.0, 0, "step-cap"
     steps = fallbacks = 0
     for _ in range(max_steps):
-        a = h * h
-        a_sa = a * (sym @ a)
-        nu_h = nu / h
-        g = 2.0 * a_sa - nu_h
+        g, hess = _log_h_derivatives(beta, nu, h)
         g_h = g / h
         gnorm = math.sqrt(g_h @ g_h)
         if gnorm == 0.0:
             stop = "zero-gradient"
             break
         steps += 1
-        hess = np.multiply.outer(4.0 * a, a) * sym
-        hess.flat[:: coeffs.M + 1] += 4.0 * a_sa + nu_h
         try:
             np.linalg.cholesky(hess)
             d = np.linalg.solve(hess, -g)

@@ -6,7 +6,6 @@ import argparse
 import csv
 import os
 import sys
-from typing import Sequence
 
 import numpy as np
 
@@ -224,27 +223,34 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _read_csv(path: str, columns: Sequence[str]) -> list[dict]:
-    """The rows of an `experiment` table; a row without one of the named
-    columns, from a header that lacks it or a short row, is a ValueError
-    that names the file and the column."""
+def _read_csv(path: str, columns: dict[str, type]) -> list[dict]:
+    """The rows of an `experiment` table, each named column converted by its
+    type; a row without one of the columns, from a header that lacks it or
+    a short row, or a value its type rejects, is a ValueError that names the
+    file and the column."""
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     for i, row in enumerate(rows, start=1):
-        missing = [c for c in columns if row.get(c) is None]
-        if missing:
-            raise ValueError(f"{path}: data row {i} has no value for column {missing[0]!r}")
+        for column, kind in columns.items():
+            if row.get(column) is None:
+                raise ValueError(f"{path}: data row {i} has no value for column {column!r}")
+            try:
+                row[column] = kind(row[column])
+            except ValueError as exc:
+                raise ValueError(f"{path}: data row {i}, column {column!r}: {exc}") from exc
     return rows
 
 
 def _cmd_report(args) -> int:
-    mise_rows = _read_csv(os.path.join(args.output_dir, "mise_vs_n.csv"), ("policy", "n", "mise"))
+    mise_rows = _read_csv(
+        os.path.join(args.output_dir, "mise_vs_n.csv"), {"policy": str, "n": int, "mise": float}
+    )
     ratio_rows = _read_csv(
-        os.path.join(args.output_dir, "ratio.csv"), ("n", "ratio", "ratio_stderr")
+        os.path.join(args.output_dir, "ratio.csv"), {"n": int, "ratio": float, "ratio_stderr": float}
     )
     by_policy: dict[str, list[tuple[int, float]]] = {}
     for r in mise_rows:
-        by_policy.setdefault(r["policy"], []).append((int(r["n"]), float(r["mise"])))
+        by_policy.setdefault(r["policy"], []).append((r["n"], r["mise"]))
     print("MISE vs n:")
     for policy, rows in by_policy.items():
         rows.sort()
@@ -256,19 +262,17 @@ def _cmd_report(args) -> int:
         for n, m in rows:
             print(f"    n={n:>6d}  mise={m:.4e}")
     if "h_opt" in by_policy and "h_opt_baseline" in by_policy:
-        worse = [
-            n
-            for (n, a), (_, b) in zip(sorted(by_policy["h_opt"]), sorted(by_policy["h_opt_baseline"]))
-            if a > b
-        ]
-        verdict = "h_opt beats baseline at every n" if not worse else f"baseline wins at n={worse}"
-        print(f"  {verdict}")
+        tuned, baseline = dict(by_policy["h_opt"]), dict(by_policy["h_opt_baseline"])
+        worse = sorted(n for n in tuned.keys() & baseline.keys() if tuned[n] > baseline[n])
+        print(f"  baseline wins at n={worse}" if worse
+              else "  h_opt beats baseline at every n both policies cover")
+        for policy, only in (("h_opt", tuned.keys() - baseline.keys()),
+                             ("h_opt_baseline", baseline.keys() - tuned.keys())):
+            if only:
+                print(f"  only {policy} has n={sorted(only)}")
     print("h_opt / argmin ratio:")
     for r in ratio_rows:
-        print(
-            f"  n={int(r['n']):>6d}  ratio={float(r['ratio']):.4f} "
-            f"(stderr {float(r['ratio_stderr']):.4f})"
-        )
+        print(f"  n={r['n']:>6d}  ratio={r['ratio']:.4f} (stderr {r['ratio_stderr']:.4f})")
     return EXIT_OK
 
 

@@ -197,6 +197,8 @@ def _kernel_table(
     at offsets -L..L grid spacings, over n h^(derivs[k] + 1), with
     L = ceil(reach h / spacing). Every row comes from one evaluation of the
     kernel (`Kernel.derivs`), so the Gaussian's K, K' and K'' share one exp.
+    A table that is not finite, where n h^(d + 1) over- or underflows a
+    float, raises FloatingPointError naming h, with no numpy warning.
 
     Memoized per (kernel, h, n, derivs, spacing), read-only, and never handed
     out of `kde_rows`, so the replications of an experiment, which share
@@ -208,8 +210,17 @@ def _kernel_table(
     L = math.ceil(kernel.reach * h / spacing)
     t = np.arange(-L, L + 1) * (spacing / h)
     table = np.empty((len(derivs), t.size))
-    for row, d, values in zip(table, derivs, kernel.derivs(t, derivs)):
-        np.divide(values, n * h ** (d + 1), out=row)
+    try:
+        with np.errstate(all="ignore"):
+            for row, d, values in zip(table, derivs, kernel.derivs(t, derivs)):
+                np.divide(values, n * h ** (d + 1), out=row)
+    except OverflowError:  # h ** (d + 1) past the float range
+        table.fill(math.inf)
+    if not np.isfinite(table).all():
+        raise FloatingPointError(
+            f"kernel weights are not finite at bandwidth h={h!r}: n h^(d+1) over- or "
+            f"underflows a float for n={n}, d in {derivs}"
+        )
     table.flags.writeable = False
     return table
 

@@ -661,3 +661,57 @@ class TestExitCodeMapping:
         assert err.startswith("config error:")
         assert str(tmp_path / table) in err and repr(column) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mise_rows, code, stream, wanted", [
+        ("normal,2,60,h_opt,0.3,0.04,0.001,0\n"
+         "normal,2,120,h_opt,0.25,0.01,0.001,0\n"
+         "normal,2,120,h_opt_baseline,0.35,0.03,0.001,0\n",
+         EXIT_OK, "out", ["h_opt beats baseline at every n both policies cover",
+                          "only h_opt has n=[60]"]),
+        ("normal,2,60,h_opt,0.3,abc,0.001,0\n", EXIT_CONFIG, "err", ["mise_vs_n.csv", "'mise'"]),
+    ], ids=["policies cover different n", "non-numeric cell"])
+    def test_report_pairs_policies_by_n_and_names_a_bad_cell(
+        self, tmp_path, capsys, mise_rows, code, stream, wanted
+    ):
+        (tmp_path / "mise_vs_n.csv").write_text(
+            "model,M,n,policy,h,mise,stderr,degenerate_count\n" + mise_rows)
+        (tmp_path / "ratio.csv").write_text("model,M,n,h_opt,h_argmin,ratio,ratio_stderr\n"
+                                            "normal,2,60,0.3,0.31,0.97,0.01\n")
+        assert main(["report", "--output-dir", str(tmp_path)]) == code
+        text = getattr(capsys.readouterr(), stream)
+        assert all(w in text for w in wanted), text
+        assert "baseline wins" not in text
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-110, 1e150])
+    def test_extreme_data_scale_is_numerical_failure_naming_h(self, tmp_path, capsys, scale):
+        # two shards of 300 N(0, scale) draws: the curvature weights' n h^3
+        # underflows to 0 at 1e-110 and overflows at 1e150, while the
+        # values' n h, all that `fit` needs, stays a float
+        rng = np.random.default_rng(3)
+        d = tmp_path / "scaled"
+        d.mkdir()
+        shards = [rng.normal(0.0, scale, 300) for _ in range(2)]
+        for m, values in enumerate(shards):
+            (d / f"subset_{m}.txt").write_text("\n".join(repr(float(v)) for v in values))
+        h = float(normal_reference_h([SubsetSample(v) for v in shards])[0])
+        assert main(["optimize", "--subsets", str(d)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and f"bandwidth h={h!r}" in err
+        out = tmp_path / "o.csv"
+        assert main(["fit", "--subsets", str(d), "--bandwidth", "auto", "--out", str(out)]) == EXIT_OK
+        assert out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "optimize"])
+    def test_zero_spread_shards_name_the_zero_deviation(self, tmp_path, capsys, command):
+        d = tmp_path / "flat"
+        d.mkdir()
+        for m in range(2):
+            (d / f"subset_{m}.txt").write_text("1.5\n" * 50)
+        argv = {"fit": ["fit", "--bandwidth", "auto", "--out", str(tmp_path / "o.csv")],
+                "optimize": ["optimize"]}[command]
+        assert main(argv + ["--subsets", str(d)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "zero standard deviation" in err
+        assert "sigma" not in err
+        assert not (tmp_path / "o.csv").exists()

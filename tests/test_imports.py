@@ -56,7 +56,6 @@ ORACLES = {
     "estimate_mise": "criteria 07 and 08",
     "Kernel.autocorrelation": "criterion 06",
     "gradient_fd": "criterion 11",
-    "amise_hat_grad": "criterion 11",
     "amise_product": "test_amise's four-term oracle",
     "bias_leading": "test_amise's four-term oracle",
     "variance_leading": "test_amise's four-term oracle",
