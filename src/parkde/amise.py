@@ -139,7 +139,7 @@ class AmiseCoefficients:
         beta = np.asarray(self.beta, dtype=float)
         nu = np.asarray(self.nu, dtype=float)
         if nu.ndim != 1 or beta.shape != (nu.size, nu.size):
-            raise ValueError(f"beta must be M x M for the M = {nu.size} entries of nu")
+            raise ValueError(f"need a 1-D nu and an M x M beta, got {nu.shape} and {beta.shape}")
         if not (np.isfinite(beta).all() and np.isfinite(nu).all()):
             raise ValueError("coefficients must be finite")
         if (nu <= 0).any():

@@ -242,23 +242,22 @@ def _read_csv(path: str, columns: dict[str, type]) -> list[dict]:
 
 
 def _cmd_report(args) -> int:
-    mise_rows = _read_csv(
-        os.path.join(args.output_dir, "mise_vs_n.csv"), {"policy": str, "n": int, "mise": float}
-    )
-    ratio_rows = _read_csv(
-        os.path.join(args.output_dir, "ratio.csv"), {"n": int, "ratio": float, "ratio_stderr": float}
-    )
+    mise_rows = _read_csv(os.path.join(args.output_dir, "mise_vs_n.csv"),
+                          {"policy": str, "n": int, "mise": float})
+    ratio_rows = _read_csv(os.path.join(args.output_dir, "ratio.csv"),
+                           {"n": int, "ratio": float, "ratio_stderr": float})
     by_policy: dict[str, list[tuple[int, float]]] = {}
     for r in mise_rows:
         by_policy.setdefault(r["policy"], []).append((r["n"], r["mise"]))
     print("MISE vs n:")
     for policy, rows in by_policy.items():
         rows.sort()
+        heading = f"  {policy}:"
         if len(rows) >= 2:
             x = np.log([n for n, _ in rows])
             y = np.log([m for _, m in rows])
-            slope = float(np.polyfit(x, y, 1)[0])
-            print(f"  {policy}: log-log slope {slope:.3f}")
+            heading += f" log-log slope {float(np.polyfit(x, y, 1)[0]):.3f}"
+        print(heading)
         for n, m in rows:
             print(f"    n={n:>6d}  mise={m:.4e}")
     if "h_opt" in by_policy and "h_opt_baseline" in by_policy:

@@ -667,7 +667,7 @@ class TestExitCodeMapping:
          "normal,2,120,h_opt,0.25,0.01,0.001,0\n"
          "normal,2,120,h_opt_baseline,0.35,0.03,0.001,0\n",
          EXIT_OK, "out", ["h_opt beats baseline at every n both policies cover",
-                          "only h_opt has n=[60]"]),
+                          "only h_opt has n=[60]", "  h_opt_baseline:\n    n=   120"]),
         ("normal,2,60,h_opt,0.3,abc,0.001,0\n", EXIT_CONFIG, "err", ["mise_vs_n.csv", "'mise'"]),
     ], ids=["policies cover different n", "non-numeric cell"])
     def test_report_pairs_policies_by_n_and_names_a_bad_cell(
@@ -699,7 +699,8 @@ class TestExitCodeMapping:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and f"bandwidth h={h!r}" in err
         out = tmp_path / "o.csv"
-        assert main(["fit", "--subsets", str(d), "--bandwidth", "auto", "--out", str(out)]) == EXIT_OK
+        code = main(["fit", "--subsets", str(d), "--bandwidth", "auto", "--out", str(out)])
+        assert code == EXIT_OK
         assert out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "optimize"])
