@@ -174,7 +174,7 @@ def _integrals(source, k: int, grid: Grid):
     The product p and lambda come from the same grid values as the
     curvatures, and every integral from the rows c L_i = L_i / lambda. P**1
     is P and P**0 is 1, so the powers are skipped at k = 1. An integral that
-    is not finite raises FloatingPointError.
+    is not finite raises FloatingPointError, with no numpy warning.
     """
     P, Pdd = grid_rows(source, grid, (0, 2))
     w = simpson_weights(grid.n_points, grid.spacing)
@@ -185,18 +185,19 @@ def _integrals(source, k: int, grid: Grid):
     if not (np.isfinite(P).all() and np.isfinite(Pdd).all()):
         raise ValueError("non-finite density or curvature values on the grid")
     kernel = from_name("gaussian")
-    L = _prod_except(Pk)
-    if k > 1:
-        L *= P ** (k - 1)
-    L /= lam
-    dens = kernel.roughness * np.einsum("mg,mg,mg,g->m", P, L, L, w)
-    # beta's integrals are dot products of the sqrt(w)-weighted rows r_i
-    root_w = np.sqrt(w)
-    R = np.multiply(L, Pdd, out=L)
-    R *= root_w
-    I = R @ root_w
-    R -= I[:, None] * (values * root_w)
-    beta = (kernel.k2 / 2.0) ** 2 * (R @ R.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        L = _prod_except(Pk)
+        if k > 1:
+            L *= P ** (k - 1)
+        L /= lam
+        dens = kernel.roughness * np.einsum("mg,mg,mg,g->m", P, L, L, w)
+        # beta's integrals are dot products of the sqrt(w)-weighted rows r_i
+        root_w = np.sqrt(w)
+        R = np.multiply(L, Pdd, out=L)
+        R *= root_w
+        I = R @ root_w
+        R -= I[:, None] * (values * root_w)
+        beta = (kernel.k2 / 2.0) ** 2 * (R @ R.T)
     if not (np.isfinite(dens).all() and np.isfinite(beta).all()):
         raise FloatingPointError("coefficient integrals overflowed: nu or beta")
     return dens, beta

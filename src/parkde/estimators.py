@@ -67,22 +67,10 @@ class SubsetKde:
     kernel: Kernel
 
     def __call__(self, x, deriv: int = 0):
-        """Exact KDE (or its deriv-th derivative) at x.
-
-        Sums over the sample in blocks of at most _BLOCK_PAIRS (x, draw)
-        pairs, so memory stays bounded for any sample size.
-        """
+        """Exact KDE (or its deriv-th derivative) at x, from `_exact_sum`."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        h = self.bandwidth
-        xs = x.reshape(-1, 1)
-        step = max(1, _BLOCK_PAIRS // max(1, len(xs)))
-        vals = np.zeros(xs.shape[0])
-        for lo in range(0, self.sample.size, step):
-            t = (xs - self.sample.values[lo : lo + step]) / h
-            vals += self.kernel.derivs(t, (deriv,))[0].sum(axis=1)
-        vals /= self.sample.size * h ** (deriv + 1)
-        return float(vals[0]) if scalar else vals
+        (vals,) = _exact_sum(self.sample, self.bandwidth, self.kernel, x.reshape(-1), (deriv,))
+        return float(vals[0]) if x.ndim == 0 else vals
 
 
 def kde_rows(
@@ -99,24 +87,17 @@ def kde_rows(
     The one way a subset KDE is evaluated on a grid. The samples are binned
     linearly (Wand 1994, JCGS 3:433) into the rows of one (M, W) array over
     the grid extended by the largest L = ceil(reach h / spacing) points on
-    each side, W = G + 2L + 2, a group of consecutive samples at a time: one
-    pass over the group's draws and one pair of `np.bincount` calls into
-    its rows. A group holds at most _GROUP_DRAWS draws, or one larger
-    sample, so no temporary is much larger than the larger of the two. Each
-    (sample, bandwidth) convolves the central G + 2L bins of its row with
-    the kernel table at offsets -L..L, one table per requested order from
-    `_kernel_table`, a read-only LRU cache. Positions are taken from
-    grid.lo, each bin sums its own sample's draws in the sample's order, and
-    every draw keeps the weight it puts into the extended bins, so a bin's
-    weight depends neither on L nor on the other samples, and each row
-    equals the row of a one-sample, one-bandwidth call bit for bit. The
-    draws outside the extended window are dropped, and the mask that drops
-    them is built only when there are any. Values are sums of non-negative
-    terms and exactly zero farther than reach h from every draw. A row
-    comes from the exact sum instead when linear binning is too coarse
-    (fewer than _MIN_BINS_PER_H grid spacings per bandwidth) or the kernel
-    reaches farther than the grid is long (L > G), where the bins and the
-    kernel table would outgrow the grid.
+    each side, W = G + 2L + 2, by `_bin`. Each (sample, bandwidth) convolves
+    the central G + 2L bins of its row with its `_kernel_table`, one row per
+    order at offsets -L..L. A bin's weight depends neither on L nor on the
+    other samples, so each row equals the row of a one-sample,
+    one-bandwidth call bit for bit. Values are sums of non-negative terms
+    and exactly zero farther than reach h from every draw. Where linear
+    binning is too coarse (fewer than _MIN_BINS_PER_H grid spacings per
+    bandwidth) or the kernel reaches farther than the grid is long (L > G),
+    a row comes from the one exact sum, `_exact_sum`, for all orders at
+    once. Both paths divide by n h^(d + 1) in `_scale`, so a scale that
+    over- or underflows raises one FloatingPointError naming h.
     """
     h_all = np.asarray(bandwidths, dtype=float)
     if h_all.ndim != 2 or h_all.shape[0] != len(samples):
@@ -131,8 +112,7 @@ def kde_rows(
         for r, h in enumerate(h_row):
             reach = kernel.reach * h / dx  # in grid spacings
             if h < _MIN_BINS_PER_H * dx or reach > G:
-                kde = SubsetKde(samples[m], h, kernel)
-                out[m, r] = [kde(grid.points, d) for d in derivs]
+                out[m, r] = _exact_sum(samples[m], h, kernel, grid.points, derivs)
             else:
                 binned.append((m, r, h, math.ceil(reach)))
     if not binned:
@@ -194,11 +174,9 @@ def _kernel_table(
 ) -> np.ndarray:
     """`kde_rows`' convolution weights for one bandwidth h and sample size n,
     shape (len(derivs), 2L + 1): row k is the derivs[k]-th kernel derivative
-    at offsets -L..L grid spacings, over n h^(derivs[k] + 1), with
-    L = ceil(reach h / spacing). Every row comes from one evaluation of the
-    kernel (`Kernel.derivs`), so the Gaussian's K, K' and K'' share one exp.
-    A table that is not finite, where n h^(d + 1) over- or underflows a
-    float, raises FloatingPointError naming h, with no numpy warning.
+    at offsets -L..L grid spacings, over n h^(derivs[k] + 1) by `_scale`,
+    with L = ceil(reach h / spacing). Every row comes from one
+    `Kernel.derivs` call, so the Gaussian's K, K' and K'' share one exp.
 
     Memoized per (kernel, h, n, derivs, spacing), read-only, and never handed
     out of `kde_rows`, so the replications of an experiment, which share
@@ -209,20 +187,44 @@ def _kernel_table(
     """
     L = math.ceil(kernel.reach * h / spacing)
     t = np.arange(-L, L + 1) * (spacing / h)
-    table = np.empty((len(derivs), t.size))
-    try:
-        with np.errstate(all="ignore"):
-            for row, d, values in zip(table, derivs, kernel.derivs(t, derivs)):
-                np.divide(values, n * h ** (d + 1), out=row)
-    except OverflowError:  # h ** (d + 1) past the float range
-        table.fill(math.inf)
-    if not np.isfinite(table).all():
-        raise FloatingPointError(
-            f"kernel weights are not finite at bandwidth h={h!r}: n h^(d+1) over- or "
-            f"underflows a float for n={n}, d in {derivs}"
-        )
+    table = _scale(np.array(kernel.derivs(t, derivs)), h, n, derivs)
     table.flags.writeable = False
     return table
+
+
+def _exact_sum(
+    sample: SubsetSample, h: float, kernel: Kernel, x: np.ndarray, derivs: tuple[int, ...]
+) -> np.ndarray:
+    """The one exact sum: sample's KDE derivatives at the 1-d points x, shape
+    (len(derivs), len(x)), scaled by `_scale`. Sums in blocks of at most
+    _BLOCK_PAIRS (x, draw) pairs, every order from one `Kernel.derivs` call
+    per block, so memory is one temporary per order for any sample size; the
+    block size does not depend on the orders, so each row keeps its bits.
+    """
+    step = max(1, _BLOCK_PAIRS // max(1, x.size))
+    sums = np.zeros((len(derivs), x.size))
+    for lo in range(0, sample.size, step):
+        t = (x[:, None] - sample.values[lo : lo + step]) / h
+        for row, values in zip(sums, kernel.derivs(t, derivs)):
+            row += values.sum(axis=1)
+    return _scale(sums, h, sample.size, derivs)
+
+
+def _scale(sums: np.ndarray, h: float, n: int, derivs: tuple[int, ...]) -> np.ndarray:
+    """Divide row k of sums in place by n h^(derivs[k] + 1), the one weight
+    scale of a KDE, and return them. Sums that are then not finite, where
+    the scale over- or underflows a float, raise FloatingPointError naming
+    h, with no numpy warning."""
+    try:
+        with np.errstate(all="ignore"):
+            for row, d in zip(sums, derivs):
+                row /= n * h ** (d + 1)
+    except OverflowError:  # h ** (d + 1) past the float range
+        sums.fill(math.inf)
+    if not np.isfinite(sums).all():
+        raise FloatingPointError(f"kernel weights are not finite at bandwidth h={h!r}: n h^(d+1) "
+                                 f"over- or underflows a float for n={n}, d in {derivs}")
+    return sums
 
 
 def fit_subset_kde(sample: SubsetSample, h: float, kernel: Kernel) -> SubsetKde:
@@ -282,25 +284,21 @@ def grid_rows(source, grid: Grid, derivs: Sequence[int] = (0,)) -> np.ndarray:
     grid.points, shape (len(derivs), M, G); the one way a density source is
     put on a grid.
 
-    source is a sequence of subset KDEs and density callables of (x, deriv),
-    such as `AnalyticModel.subset`: the KDEs that share a kernel go to one
-    `kde_rows` call, and each callable is evaluated at the grid points.
+    source is either subset KDEs that share one kernel, which go to one
+    `kde_rows` call, or density callables of (x, deriv), such as
+    `AnalyticModel.subset`, each evaluated at the grid points. Any other
+    mix raises ValueError.
     """
     if not source:
         raise ValueError("need at least one density component")
-    out = np.empty((len(derivs), len(source), grid.n_points))
-    by_kernel: dict[Kernel, list[int]] = {}
-    for m, c in enumerate(source):
-        if isinstance(c, SubsetKde):
-            by_kernel.setdefault(c.kernel, []).append(m)
-        else:
-            out[:, m] = np.stack([c(grid.points, d) for d in derivs])
-    for kernel, ms in by_kernel.items():
-        kdes = [source[m] for m in ms]
-        rows = kde_rows([c.sample for c in kdes], [[c.bandwidth] for c in kdes],
-                        kernel, grid, derivs)
-        out[:, ms] = rows[:, 0].swapaxes(0, 1)
-    return out
+    if not any(isinstance(c, SubsetKde) for c in source):
+        return np.array([[c(grid.points, d) for c in source] for d in derivs])
+    kernel = source[0].kernel if isinstance(source[0], SubsetKde) else None
+    if not all(isinstance(c, SubsetKde) and c.kernel == kernel for c in source):
+        raise ValueError("density components must be subset KDEs of one kernel or callables")
+    rows = kde_rows([c.sample for c in source], [[c.bandwidth] for c in source],
+                    kernel, grid, derivs)
+    return np.ascontiguousarray(rows[:, 0].swapaxes(0, 1))
 
 
 def normalize(components: Sequence[SubsetKde], grid: Grid) -> ProductPosterior:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -214,9 +215,15 @@ def test_header_records_whether_runs_compile_from_source(tmp_path, monkeypatch):
             "--after-sha", "b", "--workload", "w", "--seeds", "1", "2", "--out", str(out)]
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     assert bench.main(argv) == 0
+    header = json.loads(out.read_text())
     # bytecode in the after checkout is read, so only the before side compiles
-    assert json.loads(out.read_text())["compiles_from_source"] == {
-        "before": True, "after": False}
+    assert header["compiles_from_source"] == {"before": True, "after": False}
+    # numpy's BLAS build sits beside the versions of Python and numpy
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert header["blas"] == {key: blas.get(key)
+                              for key in ("name", "version", "openblas configuration")}
+    assert header["blas"]["name"] and header["numpy"] == np.__version__
+    assert {"python", "nproc"} <= set(header)
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
     assert bench.main(argv) == 0
     assert json.loads(out.read_text())["compiles_from_source"] == {

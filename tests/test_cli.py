@@ -703,6 +703,28 @@ class TestExitCodeMapping:
         assert code == EXIT_OK
         assert out.exists()
 
+    @pytest.mark.parametrize("scale, extra, message", [
+        (1e-110, ["--grid-points", "11"], "kernel weights are not finite at bandwidth h="),
+        (1e-100, [], "coefficient integrals overflowed: nu or beta"),
+    ], ids=["exact-sum weights", "beta overflow"])
+    def test_extreme_data_scale_prints_one_line_and_no_warning(
+        self, tmp_path, scale, extra, message
+    ):
+        # two shards of 300 N(0, scale) draws. At 1e-110 on 11 grid points
+        # the rows come from the exact sum, whose n h^3 underflows; at 1e-100
+        # the rows are finite but beta's products overflow
+        rng = np.random.default_rng(3)
+        d = tmp_path / "scaled"
+        d.mkdir()
+        shards = [rng.normal(0.0, scale, 300) for _ in range(2)]
+        for m, values in enumerate(shards):
+            (d / f"subset_{m}.txt").write_text("\n".join(repr(float(v)) for v in values))
+        if extra:
+            message += repr(float(normal_reference_h([SubsetSample(v) for v in shards])[0]))
+        code, err = run_cli("optimize", "--subsets", str(d), *extra)
+        assert code == EXIT_NUMERICAL
+        assert err.startswith(f"numerical failure: {message}") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("command", ["fit", "optimize"])
     def test_zero_spread_shards_name_the_zero_deviation(self, tmp_path, capsys, command):
         d = tmp_path / "flat"

@@ -12,10 +12,11 @@ from parkde.estimators import (
     SubsetSample,
     _kernel_table,
     fit_subset_kde,
+    grid_rows,
     kde_rows,
     normalize,
 )
-from parkde.kernels import from_name
+from parkde.kernels import Kernel, from_name
 from parkde.quadrature import Grid, integrate, integrate_values
 
 GAUSS = from_name("gaussian")
@@ -240,6 +241,50 @@ class TestSubsetKde:
         assert peak < 64 * 2**20  # the 2001 x 200,000 pair matrix is 3.2 GB
         assert integrate_values(vals, x[1] - x[0]) == pytest.approx(1.0, abs=1e-6)
 
+    def test_exact_fallback_takes_every_order_from_one_derivs_call_per_block(self, monkeypatch):
+        # 500 draws in blocks of 65536 // 801 = 81 pairs per point: 7 blocks
+        monkeypatch.setattr(estimators, "_BLOCK_PAIRS", 2**16)
+        sample = SubsetSample(np.random.default_rng(11).normal(0, 1, 500))
+        g = Grid(-4, 4, 801)
+        calls = []
+        derivs = Kernel.derivs
+
+        def counting_derivs(kernel, t, orders):
+            calls.append(tuple(orders))
+            return derivs(kernel, t, orders)
+
+        monkeypatch.setattr(Kernel, "derivs", counting_derivs)
+        for h in (0.039, 1e9):  # 3.9 spacings, and a reach beyond the grid
+            calls.clear()
+            rows = kde_rows([sample], [[h]], GAUSS, g, (0, 1, 2))[0, 0]
+            assert calls == [(0, 1, 2)] * 7
+            kde = fit_subset_kde(sample, h, GAUSS)
+            for k, d in enumerate((0, 1, 2)):
+                (one,) = kde_rows([sample], [[h]], GAUSS, g, (d,))[0, 0]
+                np.testing.assert_array_equal(rows[k], one)
+                np.testing.assert_array_equal(rows[k], kde(g.points, d))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-110, 1e150])
+    def test_every_path_names_h_where_the_weight_scale_fails(self, scale):
+        # h = scale / 10: n h^3 underflows to 0 at 1e-110 and overflows at
+        # 1e150, while n h, for the values, stays a float
+        h = scale / 10
+        kde = kde_of(np.random.default_rng(12).normal(0, scale, 300), h)
+        x = np.linspace(-4 * scale, 4 * scale, 801)  # h = 10 spacings: binned
+        assert np.isfinite(kde(x)).all()
+        want = (f"kernel weights are not finite at bandwidth h={h!r}: n h^(d+1) over- or "
+                f"underflows a float for n=300, d in (2,)")
+        calls = [
+            lambda: kde(x, 2),
+            lambda: kde_rows([kde.sample], [[h]], GAUSS, Grid(x[0], x[-1], 801), (2,)),
+            lambda: kde_rows([kde.sample], [[h]], GAUSS, Grid(x[0], x[-1], 11), (2,)),
+        ]
+        for call in calls:
+            with pytest.raises(FloatingPointError) as exc:
+                call()
+            assert str(exc.value) == want
+
     @pytest.mark.parametrize("kernel,deriv,message", [
         ("epanechnikov", 2, "kernel family 'epanechnikov' has no analytic derivatives"),
         ("gaussian", 3, "derivative order must be in 0..2, got 3"),
@@ -376,6 +421,17 @@ class TestProduct:
         post = normalize([kde_of(rng.normal(0, 1, 150), 0.3) for _ in range(4)], g)
         err = np.abs(post.values - exact_product(post, g.points)).max() / post.values.max()
         assert err <= on_grid_bound("gaussian", 0, 30)
+
+    def test_grid_rows_rejects_a_mixed_source(self):
+        g = Grid(-4, 4, 101)
+        kde = kde_of([0.0, 1.0], 0.5)
+        epan = kde_of([0.0, 1.0], 0.5, from_name("epanechnikov"))
+        model = AnalyticModel.normal(0.0, 1.0, 2)
+        for source in ([kde, model.subset], [model.subset, kde], [kde, epan]):
+            with pytest.raises(ValueError, match="subset KDEs of one kernel or callables"):
+                grid_rows(source, g)
+        with pytest.raises(ValueError, match="subset KDEs of one kernel or callables"):
+            normalize([kde, model.subset], g)
 
     def test_disjoint_supports_are_degenerate(self):
         g = Grid(-50, 50, 2001)

@@ -12,9 +12,10 @@ odd ones, so drift of the host's speed falls on both sides alike. The file
 is written after each workload, and running the script again with other
 workloads and the same --out adds them to it. The file holds
 both commits' shas (--before-sha/--after-sha), the Python and numpy
-versions, nproc, per side whether its runs compile src/parkde from source
-(PYTHONDONTWRITEBYTECODE is set and the checkout holds no __pycache__, so
-every fresh process compiles it, which took 18-27 ms on a 2-vCPU VM),
+versions, numpy's BLAS build (`blas_build`), nproc, per side whether its
+runs compile src/parkde from source (PYTHONDONTWRITEBYTECODE is set and
+the checkout holds no __pycache__, so every fresh process compiles it,
+which took 18-27 ms on a 2-vCPU VM),
 every pair's setup_s, ops_per_s and peak_rss_mb, and per metric the
 median and quartiles of each side, the number of pairs in which the after
 side was better and three verdicts, each against the metric's bound in
@@ -130,6 +131,13 @@ def compiles_from_source(checkout: str) -> bool:
     return bool(os.environ.get("PYTHONDONTWRITEBYTECODE")) and not os.path.isdir(cache)
 
 
+def blas_build() -> dict:
+    """numpy's BLAS build: its name, version and OpenBLAS configuration.
+    `kde_rows`' np.correlate runs on BLAS ddot, so its speed depends on it."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
+
+
 def spread(values: list[float]) -> dict:
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3}
@@ -221,7 +229,8 @@ def main(argv=None) -> int:
             doc = json.load(fh)
     doc.update(
         parent_sha=args.before_sha, change_sha=args.after_sha,
-        python=platform.python_version(), numpy=np.__version__, nproc=len(os.sched_getaffinity(0)),
+        python=platform.python_version(), numpy=np.__version__, blas=blas_build(),
+        nproc=len(os.sched_getaffinity(0)),
         seconds_per_run=args.seconds,
         compiles_from_source={"before": compiles_from_source(args.before),
                               "after": compiles_from_source(args.after)},
