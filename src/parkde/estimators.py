@@ -305,7 +305,7 @@ def normalize(components: Sequence[SubsetKde], grid: Grid) -> ProductPosterior:
     """Integrate the product on the grid and wrap it as a density; the one
     place a `ProductPosterior` is built.
 
-    Components are subset KDEs or other density callables (see `grid_rows`).
+    Components are subset KDEs of one kernel or density callables (see `grid_rows`).
     """
     components = tuple(components)
     rows = grid_rows(components, grid)[0]

@@ -242,7 +242,7 @@ class TestSubsetKde:
         assert integrate_values(vals, x[1] - x[0]) == pytest.approx(1.0, abs=1e-6)
 
     def test_exact_fallback_takes_every_order_from_one_derivs_call_per_block(self, monkeypatch):
-        # 500 draws in blocks of 65536 // 801 = 81 pairs per point: 7 blocks
+        # 500 draws in blocks of 65536 // 801 = 81 draws: 7 blocks
         monkeypatch.setattr(estimators, "_BLOCK_PAIRS", 2**16)
         sample = SubsetSample(np.random.default_rng(11).normal(0, 1, 500))
         g = Grid(-4, 4, 801)
