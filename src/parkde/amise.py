@@ -174,7 +174,8 @@ def _integrals(source, k: int, grid: Grid):
     The product p and lambda come from the same grid values as the
     curvatures, and every integral from the rows c L_i = L_i / lambda. P**1
     is P and P**0 is 1, so the powers are skipped at k = 1. An integral that
-    is not finite raises FloatingPointError, with no numpy warning.
+    is not finite, or a diagonal entry of beta that is subnormal or zero,
+    raises FloatingPointError, with no numpy warning.
     """
     P, Pdd = grid_rows(source, grid, (0, 2))
     w = simpson_weights(grid.n_points, grid.spacing)
@@ -200,6 +201,10 @@ def _integrals(source, k: int, grid: Grid):
         beta = (kernel.k2 / 2.0) ** 2 * (R @ R.T)
     if not (np.isfinite(dens).all() and np.isfinite(beta).all()):
         raise FloatingPointError("coefficient integrals overflowed: nu or beta")
+    # beta scales as the data's scale to the -5, nu not at all: a subnormal
+    # or zero diagonal has lost the digits the bandwidth solve needs
+    if not (np.diagonal(beta) >= np.finfo(float).tiny).all():
+        raise FloatingPointError("coefficient integrals underflowed: beta")
     return dens, beta
 
 

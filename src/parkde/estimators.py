@@ -168,7 +168,7 @@ def _bin(samples: Sequence[SubsetSample], grid: Grid, top: int) -> np.ndarray:
     return bins
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=256)
 def _kernel_table(
     kernel: Kernel, h: float, n: int, derivs: tuple[int, ...], spacing: float
 ) -> np.ndarray:
@@ -182,8 +182,10 @@ def _kernel_table(
     out of `kde_rows`, so the replications of an experiment, which share
     their (h, n) rows, build each table once per process. `kde_rows` bins
     only where L <= G, so an entry holds at most len(derivs) (2G + 1)
-    doubles: 64 single-order entries at G = 4001 take about 4 MB. A default
-    experiment needs 27 entries per n.
+    doubles: 256 single-order entries at G = 4001 take at most about 16 MB.
+    A default experiment needs 27 entries per n, 135 in all, and one of its
+    replication jobs cycles through 125 of them (every n of a sweep), so
+    fewer entries than that would miss on every row.
     """
     L = math.ceil(kernel.reach * h / spacing)
     t = np.arange(-L, L + 1) * (spacing / h)

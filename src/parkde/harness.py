@@ -3,7 +3,9 @@
 Randomness discipline: every draw comes from a fresh generator keyed by
 (master seed, outer repeat, replication, subset). No global RNG state is
 touched, so results are reproducible bit-for-bit and independent of the
-worker count used to run the replications.
+worker count used to run the replications. The sample size is not part of
+the key, so an experiment draws each key once, at its largest sample size,
+and every smaller size takes a prefix of those draws.
 """
 
 from __future__ import annotations
@@ -127,6 +129,11 @@ class ExperimentConfig:
             raise ValueError("n_per_subset needs at least one sample size")
         if min(self.n_per_subset) < 1:
             raise ValueError(f"n_per_subset entries must be >= 1, got {self.n_per_subset}")
+        # a repeated size draws the same keys, so its rows would repeat too
+        repeated = sorted({n for n in self.n_per_subset if self.n_per_subset.count(n) > 1})
+        if repeated:
+            raise ValueError(f"n_per_subset repeats sample sizes {repeated}, "
+                             f"got {self.n_per_subset}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not (0 < self.sweep_lo < self.sweep_hi < math.inf):
@@ -188,7 +195,12 @@ def _check_seed(seed) -> None:
 def sample_model(
     model: AnalyticModel, n: int, seed, outer: int = 0, rep: int = 0
 ) -> list[SubsetSample]:
-    """model.M independent subsets of n i.i.d. draws, deterministic given the key."""
+    """model.M independent subsets of n i.i.d. draws, deterministic given the key.
+
+    Subset m draws from its own stream, keyed by (seed, outer, rep, m); n is
+    not part of the key, so the n draws are the first n of that stream and
+    equal the first n draws of any larger n at the same key.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_seed(seed)
@@ -213,36 +225,43 @@ def _truth(model: AnalyticModel, grid: Grid) -> np.ndarray:
     return truth
 
 
-def _replication(job) -> list[float | None]:
-    """ISE of the normalized product for each bandwidth row on one replication.
+def _replication(job) -> list[list[float | None]]:
+    """Per sample size of one (model, outer, rep) key, the ISE of the
+    normalized product for each of its bandwidth rows.
 
-    The samples are drawn once and reused for every row (common random
-    numbers); one `kde_rows` call bins the replication's samples once for
-    all rows, a group of samples per pass, and one `_product` call forms
-    every row's product.
+    The key's samples are drawn once, at its largest n, and every smaller n
+    takes the first n draws of each subset, which are the draws
+    `sample_model` gives at that n (common random numbers across sizes and
+    rows). Per size, one `kde_rows` call bins the samples once for all its
+    rows, a group of samples per pass, and one `_product` call forms every
+    row's product.
     A degenerate product gives None in its row. What does not depend on the
     draws comes from read-only LRU caches kept for the process: the truth
     row from `_truth` (8 entries keyed by (model, grid), about 0.25 MB at
     G = 4001), the Simpson weights from `simpson_weights` (16 entries keyed
-    by (n, spacing)) and the kernel tables from `kde_rows` (64 entries keyed
-    by (kernel, h, n, derivs, spacing), about 4 MB).
+    by (n, spacing)) and the kernel tables from `kde_rows` (256 entries
+    keyed by (kernel, h, n, derivs, spacing), at most about 16 MB).
     """
-    model, n, h_rows, seed, outer, rep, grid = job
+    model, sizes, seed, outer, rep, grid = job
     kernel = from_name("gaussian")
-    samples = sample_model(model, n, seed, outer, rep)
+    drawn = sample_model(model, max(n for n, _ in sizes), seed, outer, rep)
     truth = _truth(model, grid)
     weights = simpson_weights(grid.n_points, grid.spacing)
-    # (M, R, G): per subset, its KDE row at each h row's bandwidth
-    rows = kde_rows(samples, np.transpose(h_rows), kernel, grid)[:, :, 0]
-    _, values, failed = _product(rows, weights)
-    ok = [r for r, err in enumerate(failed) if err is None]
-    squared = (values[ok] - truth) ** 2
-    if not np.isfinite(squared).all():
-        raise ValueError("non-finite integrand values (density or derivative blow-up?)")
-    # a 1-D dot per row, as integrate_values takes it: one (R, G) @ (G,)
-    # product rounds differently
-    ises = iter([row @ weights for row in squared])
-    return [next(ises) if err is None else None for err in failed]
+    out = []
+    for n, h_rows in sizes:
+        samples = [SubsetSample(s.values[:n], s.subset_index) for s in drawn]
+        # (M, R, G): per subset, its KDE row at each h row's bandwidth
+        rows = kde_rows(samples, np.transpose(h_rows), kernel, grid)[:, :, 0]
+        _, values, failed = _product(rows, weights)
+        ok = [r for r, err in enumerate(failed) if err is None]
+        squared = (values[ok] - truth) ** 2
+        if not np.isfinite(squared).all():
+            raise ValueError("non-finite integrand values (density or derivative blow-up?)")
+        # a 1-D dot per row, as integrate_values takes it: one (R, G) @ (G,)
+        # product rounds differently
+        ises = iter([row @ weights for row in squared])
+        out.append([next(ises) if err is None else None for err in failed])
+    return out
 
 
 def _ise_columns(
@@ -251,17 +270,20 @@ def _ise_columns(
     """Per (model, n, h_rows, outer) batch and per h row, the ISEs of every
     replication in replication order.
 
-    Every replication job of every batch goes through one map: on this
-    process's pool of min(workers, jobs) workers (`_pool`), or in this
+    A job is one (model, outer, rep) key and carries every batch of that
+    (model, outer), in batch order, so `_replication` draws each key once
+    however many sample sizes share it. Every job goes through one map: on
+    this process's pool of min(workers, jobs) workers (`_pool`), or in this
     process for one worker. The pool is started by the first multi-worker
     call and kept for the process's lifetime, so later calls with the same
     worker count reuse its warm workers; a process that makes one pooled
     call starts and joins one pool, as it would with a pool per call. If a
     worker dies, the pool is dropped before `BrokenProcessPool` is
     re-raised, and the next call starts a fresh one. Jobs are dispatched
-    heaviest first (most h rows; a stable sort), so no worker is left with
-    a long job at the end; results come back in job order. The seed and
-    every bandwidth are checked once, before any job runs.
+    heaviest first (most h rows over all their sizes; a stable sort), so no
+    worker is left with a long job at the end; each result goes back to its
+    batch's columns. The seed and every bandwidth are checked once, before
+    any job runs.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications for a standard error")
@@ -269,32 +291,33 @@ def _ise_columns(
     bad = [h for _, _, rows, _ in batches for row in rows for h in row if not 0 < h < math.inf]
     if bad:
         raise ValueError(f"bandwidth must be positive and finite, got {bad[0]}")
-    jobs = [
-        (model, n, h_rows, seed, outer, rep, grid)
-        for model, n, h_rows, outer in batches
-        for rep in range(replications)
-    ]
-    order = sorted(range(len(jobs)), key=lambda i: len(jobs[i][2]), reverse=True)
-    heaviest_first = [jobs[i] for i in order]
-    workers = min(workers, len(jobs))
+    keys = {}  # (model, outer) -> indices of its batches, in batch order
+    for b, (model, _, _, outer) in enumerate(batches):
+        keys.setdefault((model, outer), []).append(b)
+    jobs = []  # (job, its rep, its batches)
+    for (model, outer), members in keys.items():
+        sizes = tuple(batches[b][1:3] for b in members)  # (n, h_rows) per batch
+        jobs += [((model, sizes, seed, outer, rep, grid), rep, members)
+                 for rep in range(replications)]
+    jobs.sort(key=lambda item: sum(len(h_rows) for _, h_rows in item[0][1]), reverse=True)
+    todo = [job for job, _, _ in jobs]
+    workers = min(workers, len(todo))
     if workers > 1:
         from concurrent.futures.process import BrokenProcessPool
 
-        chunksize = max(1, len(jobs) // (4 * workers))
+        chunksize = max(1, len(todo) // (4 * workers))
         try:
-            done = list(_pool(workers).map(_replication, heaviest_first, chunksize=chunksize))
+            done = list(_pool(workers).map(_replication, todo, chunksize=chunksize))
         except BrokenProcessPool:
             _drop_pool()  # a worker died: the next call starts a fresh pool
             raise
     else:
-        done = [_replication(job) for job in heaviest_first]
-    results = [None] * len(jobs)
-    for i, ises in zip(order, done):
-        results[i] = ises
-    return [
-        list(zip(*results[b : b + replications]))
-        for b in range(0, len(results), replications)
-    ]
+        done = [_replication(job) for job in todo]
+    results = [[None] * replications for _ in batches]  # per batch, per rep
+    for (_, rep, members), per_size in zip(jobs, done):
+        for b, ises in zip(members, per_size):
+            results[b][rep] = ises
+    return [list(zip(*columns)) for columns in results]
 
 
 @dataclass(frozen=True)
@@ -430,8 +453,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     Writes mise_vs_n.csv (both closed-form policies), ratio.csv (closed-form
     h against the sweep-located argmin) and a run manifest that lists each
     degenerate replication. Every replication of the experiment goes through
-    one job map; both policies of an n share one batch, and so their
-    samples. Returns a dict of the output paths.
+    one job map; both policies of an n share one batch, and every n of an
+    outer repeat shares one job per replication, and so its draws (a
+    prefix of them below the largest n). Returns a dict of the output
+    paths.
     """
     if cfg.seed is None:
         raise ValueError("experiment requires a seed")

@@ -56,6 +56,10 @@ if os.path.basename(checkout) == "leaky":
                                start_new_session=True)
     with open(os.path.join(checkout, "sleeper.pid"), "a") as fh:
         fh.write(f"{sleeper.pid}\\n")
+if os.path.basename(checkout) == "broken" and sys.argv[sys.argv.index("--seed") + 1] == "2":
+    for k in range(25):
+        print(f"traceback line {k}", file=sys.stderr)
+    sys.exit(3)
 print(json.dumps({"metrics": {k: {"value": 1.0} for k in ("setup_s", "ops_per_s", "peak_rss_mb")},
                   "correct": True, "attempted": 1, "failed": 0}))
 """
@@ -103,6 +107,54 @@ def test_a_process_left_running_is_killed_recorded_and_fails_the_script(tmp_path
         assert left.endswith("import time; time.sleep(60)")
     err = capsys.readouterr().err
     assert "seed 1 after" in err and "seed 2 after" in err and " before:" not in err
+
+
+def test_a_failed_run_is_kept_and_later_pairs_and_workloads_still_run(tmp_path, capsys):
+    bench = load_tool()
+    before, after = fake_checkout(tmp_path / "clean"), fake_checkout(tmp_path / "broken")
+    out = tmp_path / "bench.json"
+    code = bench.main([
+        "--before", str(before), "--after", str(after), "--before-sha", "a", "--after-sha", "b",
+        "--workload", "w", "v", "--seeds", "1", "2", "3", "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "w seed 2 after: exit code 3" in err and "v seed 2 after: exit code 3" in err
+    assert " before:" not in err and "seed 1" not in err and "seed 3" not in err
+    workloads = json.loads(out.read_text())["workloads"]
+    for name in ("w", "v"):
+        pairs = workloads[name]["pairs"]
+        assert [p["seed"] for p in pairs] == [1, 2, 3]
+        assert pairs[1]["after"] == {"exit_code": 3, "left_running": [], "stderr_tail": [
+            f"traceback line {k}" for k in range(5, 25)]}
+        assert pairs[1]["before"]["correct"]
+        # the summary covers the two complete pairs
+        assert workloads[name]["summary"] == bench.summarize([pairs[0], pairs[2]])
+    assert bench.main(["--read", str(out)]) == 0
+    assert "won 0/2" in capsys.readouterr().out
+
+
+def test_the_file_is_written_after_every_pair(tmp_path, monkeypatch):
+    bench = load_tool()
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append(seed)
+        if len(calls) == 4:
+            raise KeyboardInterrupt  # the script is stopped in the second pair
+        return {"setup_s": 1.0, "ops_per_s": 2.0, "peak_rss_mb": 3.0,
+                "correct": True, "attempted": 4, "failed": 0}
+
+    monkeypatch.setattr(bench, "run", fake_run)
+    out = tmp_path / "bench.json"
+    with pytest.raises(KeyboardInterrupt):
+        bench.main(["--before", "before-dir", "--after", "after-dir", "--before-sha", "a",
+                    "--after-sha", "b", "--workload", "w", "--seeds", "11", "12", "--out",
+                    str(out)])
+    recorded = json.loads(out.read_text())["workloads"]["w"]
+    # one complete pair is kept, too few for quartiles
+    assert [p["seed"] for p in recorded["pairs"]] == [11]
+    assert recorded["summary"] is None
 
 
 def summary_of(tmp_path, monkeypatch, before, after):

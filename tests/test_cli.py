@@ -485,13 +485,16 @@ class TestExperimentAndReport:
     @pytest.mark.parametrize("argv, code, message", [
         (["--family", "normal", "--n", "0"], EXIT_CONFIG,
          "n_per_subset entries must be >= 1, got [0]"),
+        (["--family", "normal", "--n", "200", "100", "200"], EXIT_CONFIG,
+         "n_per_subset repeats sample sizes [200], got [200, 100, 200]"),
         (["--family", "gamma", "--alpha", "1.2", "--n", "100"], EXIT_NUMERICAL,
          "gamma closed form needs alpha > 1 + 3/(2M)"),
         (["--family", "gamma", "--mu", "5", "--sigma", "9", "--n", "100"], EXIT_CONFIG,
          "family 'gamma' does not use config key 'mu'"),
         (["--family", "normal", "--theta", "2", "--n", "100"], EXIT_CONFIG,
          "family 'normal' does not use config key 'theta'"),
-    ], ids=["n zero", "gamma outside closed form", "gamma with mu", "normal with theta"])
+    ], ids=["n zero", "n repeated", "gamma outside closed form", "gamma with mu",
+            "normal with theta"])
     def test_failing_closed_form_or_unused_key_makes_no_directory(
         self, tmp_path, capsys, argv, code, message
     ):
@@ -706,13 +709,17 @@ class TestExitCodeMapping:
     @pytest.mark.parametrize("scale, extra, message", [
         (1e-110, ["--grid-points", "11"], "kernel weights are not finite at bandwidth h="),
         (1e-100, [], "coefficient integrals overflowed: nu or beta"),
-    ], ids=["exact-sum weights", "beta overflow"])
+        (1e64, [], "coefficient integrals underflowed: beta"),
+        (1e80, [], "coefficient integrals underflowed: beta"),
+    ], ids=["exact-sum weights", "beta overflow", "subnormal beta", "zero beta"])
     def test_extreme_data_scale_prints_one_line_and_no_warning(
         self, tmp_path, scale, extra, message
     ):
         # two shards of 300 N(0, scale) draws. At 1e-110 on 11 grid points
         # the rows come from the exact sum, whose n h^3 underflows; at 1e-100
-        # the rows are finite but beta's products overflow
+        # the rows are finite but beta's products overflow. beta scales as
+        # scale^-5: its diagonal is subnormal at 1e64 and zero at 1e80, where
+        # the solve used to print a wrong h with exit 0
         rng = np.random.default_rng(3)
         d = tmp_path / "scaled"
         d.mkdir()
@@ -724,6 +731,19 @@ class TestExitCodeMapping:
         code, err = run_cli("optimize", "--subsets", str(d), *extra)
         assert code == EXIT_NUMERICAL
         assert err.startswith(f"numerical failure: {message}") and err.count("\n") == 1, err
+
+    def test_large_data_scale_with_a_normal_beta_scales_h(self, tmp_path, capsys):
+        # the shards of the test above at 1e60, where beta's diagonal is
+        # still a normal float: h is the unit-scale solve's h times 1e60
+        rng = np.random.default_rng(3)
+        d = tmp_path / "scaled"
+        d.mkdir()
+        for m in range(2):
+            values = rng.normal(0.0, 1e60, 300)
+            (d / f"subset_{m}.txt").write_text("\n".join(repr(float(v)) for v in values))
+        assert main(["optimize", "--subsets", str(d)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "h = 3.3801e+59, 4.29677e+59\n" in out
 
     @pytest.mark.parametrize("command", ["fit", "optimize"])
     def test_zero_spread_shards_name_the_zero_deviation(self, tmp_path, capsys, command):

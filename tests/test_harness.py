@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 
 import numpy as np
@@ -89,16 +90,24 @@ class TestSampleModel:
                 call()
             assert str(exc.value) == f"seed must be a non-negative integer, got {seed!r}"
 
+    @pytest.mark.parametrize("model", [NORMAL4, AnalyticModel.gamma(3.0, 3.0, 4)])
+    def test_n_draws_are_the_first_n_draws_of_a_larger_n(self, model):
+        # n is not part of a stream's key, so `_replication` may draw a key
+        # once at its largest n and slice every smaller n from it
+        big = sample_model(model, 4000, 9, outer=2, rep=5)
+        for n in (1, 250, 1000, 3999):
+            small = sample_model(model, n, 9, outer=2, rep=5)
+            assert all(np.array_equal(s.values, b.values[:n]) for s, b in zip(small, big))
+
     def test_numpy_integer_seed_draws_the_int_seeds_samples(self):
         a = sample_model(NORMAL4, 10, np.uint32(5))
         b = sample_model(NORMAL4, 10, 5)
         assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
 
 
-def per_row_replication(job):
-    """One replication the long way: per row, one KDE call per subset, one
-    product and one integral."""
-    model, n, h_rows, seed, outer, rep, grid = job
+def per_row_replication(model, n, h_rows, seed, outer, rep, grid):
+    """One replication at one n the long way: per row, one KDE call per
+    subset, one product and one integral."""
     kernel = from_name("gaussian")
     samples = sample_model(model, n, seed, outer, rep)
     truth = model.posterior(grid.points)
@@ -122,24 +131,37 @@ class TestReplication:
         dx = grid.spacing
         h_rows = [(15 * dx,) * 4, (3 * dx,) * 4, (10 * dx, 20 * dx, 30 * dx, 40 * dx),
                   (1e-4 * dx,) * 4]
+        # one key at three sizes, the largest not first: each size's rows
+        # come from the first n draws of the key's one draw at n = 50
+        sizes = ((20, h_rows), (50, h_rows[:2]), (35, h_rows[2:]))
         for rep in range(3):
-            job = (model, 20, h_rows, 31, 0, rep, grid)
-            got = _replication(job)
-            assert got[3] is None
-            assert all(v is not None for v in got[:3])
-            assert got == per_row_replication(job)
+            got = _replication((model, sizes, 31, 0, rep, grid))
+            assert got[0][3] is None
+            assert all(v is not None for v in got[0][:3])
+            assert got == [per_row_replication(model, n, rows, 31, 0, rep, grid)
+                           for n, rows in sizes]
 
     def test_builds_its_fixed_arrays_once_per_model_and_grid(self):
         grid = Grid(-4, 4, 401)
         h_rows = [(0.3,) * 4, (0.5,) * 4]
         for rep in range(3):
-            _replication((NORMAL4, 50, h_rows, 7, 0, rep, grid))
+            _replication((NORMAL4, ((50, h_rows),), 7, 0, rep, grid))
         truth = _truth.cache_info()
         assert (truth.misses, truth.hits) == (1, 2)
         weights = simpson_weights.cache_info()
         assert (weights.misses, weights.hits) == (1, 2)
         tables = _kernel_table.cache_info()
         assert (tables.misses, tables.hits) == (2, 2 * 4 * 3 - 2)
+
+    def test_a_default_sweep_job_builds_each_kernel_table_once(self):
+        # a default experiment's sweep job: 25 bandwidths at each of its five
+        # n, 125 tables, all of which the next replication finds cached
+        cfg = ExperimentConfig(seed=1)
+        sizes = tuple((n, [(h,) * 4 for h in cfg.sweep(n)[1]]) for n in cfg.n_per_subset)
+        for rep in range(2):
+            _replication((NORMAL4, sizes, 7, 1, rep, Grid(-4, 4, 801)))
+        tables = _kernel_table.cache_info()
+        assert (tables.misses, tables.hits) == (125, 2 * 4 * 125 - 125)
 
     def test_fixed_arrays_are_read_only(self):
         grid = Grid(-4, 4, 401)
@@ -157,7 +179,7 @@ class TestReplication:
     def test_warm_caches_give_the_cold_result(self, model, grid):
         dx = grid.spacing
         h_rows = [(15 * dx,) * 4, (10 * dx, 20 * dx, 30 * dx, 40 * dx)]
-        jobs = [(model, 200, h_rows, 5, 0, rep, grid) for rep in range(3)]
+        jobs = [(model, ((200, h_rows),), 5, 0, rep, grid) for rep in range(3)]
         warm = [_replication(job) for job in jobs]
         assert warm == [_replication(job) for job in jobs]
         for job, want in zip(jobs, warm):
@@ -166,7 +188,7 @@ class TestReplication:
             simpson_weights.cache_clear()
             got = _replication(job)
             assert got == want
-            assert all(type(v) is np.float64 for v in got)
+            assert all(type(v) is np.float64 for v in got[0])
 
 
 class TestEstimateMise:
@@ -294,6 +316,14 @@ class TestConfig:
     @pytest.mark.parametrize("ns", [[0], [250, 0], [100, -5, 200]])
     def test_sample_sizes_below_one_rejected(self, ns):
         with pytest.raises(ValueError, match=r"n_per_subset entries must be >= 1, got \["):
+            ExperimentConfig(n_per_subset=ns)
+
+    @pytest.mark.parametrize("ns, repeated", [
+        ([200, 100, 200], [200]), ([50, 50, 80, 80, 80, 10], [50, 80])])
+    def test_repeated_sample_sizes_rejected(self, ns, repeated):
+        # a repeated size would recompute the same keys' rows and count them
+        # twice in the decay-rate fit
+        with pytest.raises(ValueError, match=re.escape(f"repeats sample sizes {repeated}")):
             ExperimentConfig(n_per_subset=ns)
 
     def test_one_replication_rejected(self):
@@ -456,9 +486,10 @@ class TestRunExperiment:
         for seed in (17, 18, 17):
             assert outputs(2, seed, f"pooled{seed}") == outputs(1, seed, f"serial{seed}")
 
+    @pytest.mark.parametrize("ns", [[100, 200], [200, 60, 100]], ids=["sorted", "unsorted"])
     @pytest.mark.parametrize("family", ["normal", "gamma"])
-    def test_csvs_equal_one_call_at_a_time(self, tmp_path, family):
-        cfg = self.small_cfg(tmp_path, family=family, grid_lo=None, grid_hi=None)
+    def test_csvs_equal_one_call_at_a_time(self, tmp_path, family, ns):
+        cfg = self.small_cfg(tmp_path, family=family, n_per_subset=ns, grid_lo=None, grid_hi=None)
         paths = run_experiment(cfg)
         model, grid = cfg.model(), cfg.grid()
         with open(paths["mise_vs_n"], newline="") as fh:
@@ -483,14 +514,28 @@ class TestRunExperiment:
             assert row["h_argmin"] == repr(float(np.median(argmins)))
             assert row["ratio"] == repr(float(np.median(ratios)))
 
+    def test_each_key_is_drawn_once_per_experiment(self, tmp_path, monkeypatch):
+        real = harness.sample_model
+        calls = []
+
+        def counting(model, n, seed, outer=0, rep=0):
+            calls.append((outer, rep, n))
+            return real(model, n, seed, outer, rep)
+
+        monkeypatch.setattr(harness, "sample_model", counting)
+        run_experiment(self.small_cfg(tmp_path, n_per_subset=[200, 60, 100], replications=3,
+                                      outer_repeats=2))
+        # one call per (outer, rep) key, at the largest n: 9, not 3 x 9
+        assert sorted(calls) == [(outer, rep, 200) for outer in range(3) for rep in range(3)]
+
     def test_manifest_lists_degenerate_replications(self, tmp_path, monkeypatch):
         real = harness._replication
         chosen = {(0, 3), (0, 7), (2, 5)}  # (outer, rep)
 
         def degenerate_some(job):
-            outer, rep = job[4], job[5]
+            _, sizes, _, outer, rep, _ = job
             if (outer, rep) in chosen:
-                return [None] * len(job[2])
+                return [[None] * len(h_rows) for _, h_rows in sizes]
             return real(job)
 
         monkeypatch.setattr(harness, "_replication", degenerate_some)
@@ -511,8 +556,8 @@ class TestRunExperiment:
         assert len([e for e in entries if e["outer"] == 2]) == 2 * 5
 
     def test_outputs_equal_at_any_worker_count(self, tmp_path):
-        # jobs of 2 rows (the policies) and 5 rows (the sweeps), dispatched
-        # heaviest first; single draws and narrow sweep bandwidths give some
+        # jobs of 2 x 2 rows (the policies at both n) and 2 x 5 rows (a
+        # sweep at both n), dispatched heaviest first; single draws and narrow sweep bandwidths give some
         # degenerate replications, in no column a majority
         cfg = dict(M=4, n_per_subset=[1, 2], sweep_lo=0.1, sweep_hi=1.0, seed=3,
                    grid_lo=-5.0, grid_hi=5.0, grid_points=401)

@@ -9,7 +9,7 @@ Each DIR is a checkout holding perfbench/ and src/ (for example a
 turn. For every workload and seed, perfbench/run.py runs once in each
 checkout, the before side first on even pairs and the after side first on
 odd ones, so drift of the host's speed falls on both sides alike. The file
-is written after each workload, and running the script again with other
+is written after each pair, and running the script again with other
 workloads and the same --out adds them to it. The file holds
 both commits' shas (--before-sha/--after-sha), the Python and numpy
 versions, numpy's BLAS build (`blas_build`), nproc, per side whether its
@@ -30,6 +30,12 @@ BENCHMARK.json (a share of the before side's median):
   bound, so the runs spread too widely to tell, unless every after run is
   better than every before run.
 
+A run that exits non-zero is kept in its pair as its exit code, the last
+STDERR_LINES lines of its stderr and its left_running list. The summary
+covers the complete pairs, whose two runs both exited 0, and is null
+until there are two; --read skips the other pairs, and a workload whose
+summary is null.
+
 --seeds takes at least two seeds, since the quartiles need two runs a side.
 
     python3 tools/bench_pairs.py --read BENCH_*.json
@@ -45,9 +51,10 @@ each draw, and the product's draws multiply one draw of each file, the
 files resampled independently. The generator has a fixed seed, so the
 same files print the same intervals.
 
-The script exits 1, naming the workload, seed and side, when a run reports
-`correct: false` or failed operations, or leaves a process running; every
-workload still runs and the file is written first, so those runs are kept.
+The script exits 1, naming the workload, seed and side, when a run exits
+non-zero, reports `correct: false` or failed operations, or leaves a
+process running; every pair of every workload still runs and is written,
+so those runs are kept.
 Each run gets a fresh random token in its environment (RUN_TOKEN), which
 every process it starts inherits, whatever session or parent that process
 ends up with, unless it clears its environment. After the run, each live process whose environment holds that
@@ -80,11 +87,13 @@ GAIN_SHARE = 0.9  # share of pairs the after side must win to show a gain
 RESAMPLES = 2000  # resampled medians behind each interval --read prints
 INTERVAL = (5.0, 95.0)  # percentiles of those medians: a 90% interval
 RUN_TOKEN = "BENCH_PAIRS_RUN"  # environment variable that marks one run's processes
+STDERR_LINES = 20  # lines of a failed run's stderr kept in its pair
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run. Its output goes to files, not pipes, so a process
-    it leaves running with them open cannot stall the read."""
+    """One perfbench run: its metrics, or its exit code and the end of its
+    stderr if it exits non-zero. Its output goes to files, not pipes, so a
+    process it leaves running with them open cannot stall the read."""
     checkout = os.path.abspath(checkout)
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
@@ -96,7 +105,8 @@ def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
         stdout.seek(0)
         stderr.seek(0)
         if code:
-            raise subprocess.CalledProcessError(code, cmd, stdout.read(), stderr.read())
+            return {"exit_code": code, "stderr_tail": stderr.read().splitlines()[-STDERR_LINES:],
+                    "left_running": left}
         last = json.loads(stdout.read().strip().splitlines()[-1])
     out = {k: last["metrics"][k]["value"] for k in METRICS}
     out.update(correct=last["correct"], attempted=last["attempted"], failed=last["failed"],
@@ -143,6 +153,25 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def complete(pairs: list[dict]) -> list[dict]:
+    """The pairs whose two runs both exited 0 and so have metrics."""
+    return [p for p in pairs if not any("exit_code" in p[side] for side in ("before", "after"))]
+
+
+def problems(workload: str, pair: dict) -> list[str]:
+    """A line per run of pair that fails the script, naming its side."""
+    out = []
+    for side in ("before", "after"):
+        r = pair[side]
+        head = f"{workload} seed {pair['seed']} {side}: "
+        if "exit_code" in r:
+            out.append(head + f"exit code {r['exit_code']}, left_running={r['left_running']}")
+        elif not r["correct"] or r["failed"] > 0 or r.get("left_running"):
+            out.append(head + f"correct={r['correct']}, failed={r['failed']}, "
+                       f"left_running={r.get('left_running', [])}")
+    return out
+
+
 def summarize(pairs: list[dict]) -> dict:
     out = {}
     for name, metric in METRICS.items():
@@ -181,9 +210,10 @@ def trajectory(paths: list[str]) -> list[str]:
             rng = np.random.default_rng(0)
             product, products = 1.0, np.ones(RESAMPLES)
             for label, recorded in files:
-                if workload not in recorded:
+                if workload not in recorded or not recorded[workload]["summary"]:
                     continue
-                pairs, summary = recorded[workload]["pairs"], recorded[workload]["summary"][name]
+                pairs = complete(recorded[workload]["pairs"])
+                summary = recorded[workload]["summary"][name]
                 ratios = np.array([p["after"][name] / p["before"][name] for p in pairs])
                 draws = np.median(ratios[rng.integers(len(ratios), size=(RESAMPLES, len(ratios)))],
                                   axis=1)
@@ -245,16 +275,13 @@ def main(argv=None) -> int:
                         for side, checkout in sides)
             pairs.append(pair)
             print(json.dumps({"workload": workload, **pair}), flush=True)
-        doc.setdefault("workloads", {})[workload] = {"pairs": pairs, "summary": summarize(pairs)}
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        bad += [f"{workload} seed {p['seed']} {side}: "
-                f"correct={p[side]['correct']}, failed={p[side]['failed']}, "
-                f"left_running={p[side].get('left_running', [])}"
-                for p in pairs for side in ("before", "after")
-                if not p[side]["correct"] or p[side]["failed"] > 0
-                or p[side].get("left_running")]
+            done = complete(pairs)
+            doc.setdefault("workloads", {})[workload] = {
+                "pairs": pairs, "summary": summarize(done) if len(done) >= 2 else None}
+            with open(args.out, "w") as fh:
+                json.dump(doc, fh, indent=1)
+                fh.write("\n")
+            bad += problems(workload, pair)
     for line in bad:
         print(f"incorrect run, {line}", file=sys.stderr)
     return 1 if bad else 0
